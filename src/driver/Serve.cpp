@@ -500,6 +500,41 @@ void serveConnection(ServeServer &Server, std::mutex &Mu, int Fd,
   }
 }
 
+/// Answers an unadmitted connection with a retryable `overloaded` line and
+/// closes it without resetting the peer. Closing a Unix socket whose
+/// receive queue still holds the client's unread request raises
+/// ECONNRESET at the client, which can then lose the buffered response
+/// line. So the write side is half-closed first (the client sees the line,
+/// then EOF), and the request is drained for a short bounded time — until
+/// the client closes or the deadline passes — before the close.
+void shedConnection(int Conn) {
+  writeAllFd(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
+  ::shutdown(Conn, SHUT_WR);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(100);
+  char Buf[4096];
+  while (true) {
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Deadline - Clock::now())
+                    .count();
+    if (Left <= 0)
+      break;
+    pollfd P{Conn, POLLIN, 0};
+    int R = ::poll(&P, 1, static_cast<int>(Left));
+    if (R < 0 && errno == EINTR)
+      continue;
+    if (R <= 0)
+      break;
+    ssize_t N = ::read(Conn, Buf, sizeof(Buf));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break; // EOF (the client is done) or a real error.
+  }
+  ::close(Conn);
+}
+
 } // namespace
 
 int csdf::runServe(const ServeOptions &Opts) {
@@ -566,8 +601,7 @@ int csdf::runServe(const ServeOptions &Opts) {
       break;
     }
     if (Inflight.load() >= AdmitLimit) {
-      writeAllFd(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
-      ::close(Conn);
+      shedConnection(Conn);
       std::lock_guard<std::mutex> Lock(Mu);
       Server.countShed();
       continue;

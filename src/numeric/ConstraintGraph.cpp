@@ -177,14 +177,31 @@ std::vector<std::string> ConstraintGraph::varNames() const {
   return Names;
 }
 
-void ConstraintGraph::removeVar(const std::string &Name) {
-  auto Slot = findVar(Name);
-  if (!Slot)
+void ConstraintGraph::removeVars(const std::vector<std::string> &Names) {
+  std::vector<unsigned> Victims;
+  Victims.reserve(Names.size());
+  for (const std::string &Name : Names)
+    if (auto Slot = findVar(Name))
+      Victims.push_back(*Slot);
+  if (Victims.empty())
     return;
+  std::sort(Victims.begin(), Victims.end());
+  Victims.erase(std::unique(Victims.begin(), Victims.end()), Victims.end());
   close();
-  mutableBlock().M->removeVar(*Slot);
-  Vars.erase(Vars.begin() + *Slot);
-  // Projection of a closed matrix is closed.
+  mutableBlock().M->removeVars(Victims);
+  // Projection of a closed matrix is closed, and projecting several
+  // variables at once yields exactly the matrix that removing them one by
+  // one would.
+  auto Victim = Victims.begin();
+  unsigned Kept = 0;
+  for (unsigned I = 0; I < Vars.size(); ++I) {
+    if (Victim != Victims.end() && *Victim == I) {
+      ++Victim;
+      continue;
+    }
+    Vars[Kept++] = Vars[I];
+  }
+  Vars.resize(Kept);
 }
 
 void ConstraintGraph::renameVars(

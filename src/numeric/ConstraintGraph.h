@@ -161,9 +161,15 @@ public:
   const SymbolTable &symbols() const { return *Syms; }
   const SymbolTablePtr &symbolsPtr() const { return Syms; }
 
-  /// Removes \p Name after closing, so constraints implied through it
-  /// survive.
-  void removeVar(const std::string &Name);
+  /// Projects every variable in \p Names out of the graph: closes once,
+  /// then removes them all in one compaction, so constraints implied
+  /// through them survive. Names that are absent (or repeated) are
+  /// ignored; when none is present the graph is left untouched — neither
+  /// closed nor detached.
+  void removeVars(const std::vector<std::string> &Names);
+
+  /// Projects \p Name out of the graph (see removeVars).
+  void removeVar(const std::string &Name) { removeVars({Name}); }
 
   /// Renames every variable via \p Rename (must stay injective).
   void renameVars(const std::vector<std::pair<std::string, std::string>>

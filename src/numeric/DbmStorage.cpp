@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <functional>
 
 using namespace csdf;
 
@@ -60,46 +62,81 @@ void DenseDbmStorage::resize(unsigned NewN) {
   N = NewN;
 }
 
-void DenseDbmStorage::removeVar(unsigned Victim) {
-  assert(Victim < N && "removing a variable that does not exist");
-  // Compact in place: rows keep their stride, the victim row/column is
-  // squeezed out. Also the one point where the occupancy bitmap is
-  // recomputed exactly, clearing any stale bits.
-  for (unsigned I = 0, NI = 0; I < N; ++I) {
-    if (I == Victim)
-      continue;
-    const std::int64_t *Src = Data.data() + static_cast<std::size_t>(I) * Cap;
-    std::int64_t *Dst = Data.data() + static_cast<std::size_t>(NI) * Cap;
-    for (unsigned J = 0, NJ = 0; J < N; ++J) {
-      if (J == Victim)
-        continue;
-      Dst[NJ] = Src[J];
-      ++NJ;
+#ifndef NDEBUG
+static bool validVictims(const std::vector<unsigned> &Victims, unsigned N) {
+  return std::adjacent_find(Victims.begin(), Victims.end(),
+                            std::greater_equal<unsigned>()) ==
+             Victims.end() &&
+         (Victims.empty() || Victims.back() < N);
+}
+#endif
+
+void DenseDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
+  assert(validVictims(Victims, N) && "victims must be sorted, unique slots");
+  if (Victims.empty())
+    return;
+  // The surviving slots, as maximal runs [first, second) between victims.
+  std::vector<std::pair<unsigned, unsigned>> Keep;
+  unsigned Begin = 0;
+  for (unsigned V : Victims) {
+    if (V > Begin)
+      Keep.emplace_back(Begin, V);
+    Begin = V + 1;
+  }
+  if (Begin < N)
+    Keep.emplace_back(Begin, N);
+
+  // Compact in place: rows keep their stride and each surviving row is
+  // squeezed run by run into its new position, which never lies past its
+  // source. The occupancy bit of each compacted row is recomputed exactly
+  // while the row is still in cache — the one point where stale bits are
+  // cleared.
+  unsigned NewN = N - static_cast<unsigned>(Victims.size());
+  unsigned NI = 0;
+  for (auto [RowBegin, RowEnd] : Keep) {
+    for (unsigned I = RowBegin; I < RowEnd; ++I, ++NI) {
+      const std::int64_t *Src = Data.data() + static_cast<std::size_t>(I) * Cap;
+      std::int64_t *Dst = Data.data() + static_cast<std::size_t>(NI) * Cap;
+      unsigned NJ = 0;
+      for (auto [ColBegin, ColEnd] : Keep) {
+        std::memmove(Dst + NJ, Src + ColBegin,
+                     (ColEnd - ColBegin) * sizeof(std::int64_t));
+        NJ += ColEnd - ColBegin;
+      }
+      std::uint8_t Any = 0;
+      for (unsigned J = 0; J < NewN; ++J)
+        Any |= static_cast<std::uint8_t>(J != NI && Dst[J] < DbmInfinity);
+      Occ[NI] = Any;
     }
-    ++NI;
   }
-  --N;
+  N = NewN;
   Occ.resize(N);
-  for (unsigned I = 0; I < N; ++I) {
-    const std::int64_t *Row = Data.data() + static_cast<std::size_t>(I) * Cap;
-    std::uint8_t Any = 0;
-    for (unsigned J = 0; J < N; ++J)
-      Any |= static_cast<std::uint8_t>(J != I && Row[J] < DbmInfinity);
-    Occ[I] = Any;
-  }
 }
 
-void MapDbmStorage::removeVar(unsigned Victim) {
-  assert(Victim < N && "removing a variable that does not exist");
+void MapDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
+  assert(validVictims(Victims, N) && "victims must be sorted, unique slots");
+  if (Victims.empty())
+    return;
+  constexpr unsigned Gone = ~0u;
+  std::vector<unsigned> NewIndex(N);
+  for (unsigned I = 0, V = 0, NI = 0; I < N; ++I) {
+    if (V < Victims.size() && Victims[V] == I) {
+      NewIndex[I] = Gone;
+      ++V;
+    } else {
+      NewIndex[I] = NI++;
+    }
+  }
+  // Renumbering is monotone on the survivors, so the rebuilt keys arrive
+  // in ascending order and each insertion is an end-hinted append.
   std::map<std::pair<unsigned, unsigned>, std::int64_t> NewBounds;
   for (const auto &[Key, Bound] : Bounds) {
-    auto [I, J] = Key;
-    if (I == Victim || J == Victim)
-      continue;
-    NewBounds[{I > Victim ? I - 1 : I, J > Victim ? J - 1 : J}] = Bound;
+    unsigned I = NewIndex[Key.first], J = NewIndex[Key.second];
+    if (I != Gone && J != Gone)
+      NewBounds.emplace_hint(NewBounds.end(), std::pair(I, J), Bound);
   }
   Bounds = std::move(NewBounds);
-  --N;
+  N -= static_cast<unsigned>(Victims.size());
 }
 
 bool CowDbm::detach() {

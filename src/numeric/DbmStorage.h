@@ -64,8 +64,10 @@ public:
   virtual unsigned size() const = 0;
   virtual std::unique_ptr<DbmStorage> clone() const = 0;
 
-  /// Removes variable \p Victim, renumbering later variables down by one.
-  virtual void removeVar(unsigned Victim) = 0;
+  /// Removes the variables at \p Victims (strictly increasing, each
+  /// < size()) in one pass, renumbering the survivors densely in their
+  /// original order.
+  virtual void removeVars(const std::vector<unsigned> &Victims) = 0;
 
   /// Approximate heap bytes held by this matrix, for the AnalysisBudget
   /// memory ceiling.
@@ -111,7 +113,7 @@ public:
   std::unique_ptr<DbmStorage> clone() const override {
     return std::make_unique<DenseDbmStorage>(*this);
   }
-  void removeVar(unsigned Victim) override;
+  void removeVars(const std::vector<unsigned> &Victims) override;
   std::uint64_t byteSize() const override {
     return Data.capacity() * sizeof(std::int64_t) + Occ.capacity();
   }
@@ -162,7 +164,7 @@ public:
   std::unique_ptr<DbmStorage> clone() const override {
     return std::make_unique<MapDbmStorage>(*this);
   }
-  void removeVar(unsigned Victim) override;
+  void removeVars(const std::vector<unsigned> &Victims) override;
   std::uint64_t byteSize() const override {
     // Per-node estimate: key + value + rb-tree bookkeeping.
     return Bounds.size() * 64;

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -96,7 +97,9 @@ struct StepEffects {
     std::map<std::string, std::optional<std::int64_t>> Snapshot;
     BudgetKind FailKind = BudgetKind::None;
     std::string FailReason, FailConfig;
-    PcfgState Sub;
+    /// Submit only. Optional so the other kinds build no throwaway state
+    /// (and captured traces keep none alive).
+    std::optional<PcfgState> Sub;
     std::string SubKey;
     bool SubAtLoopHeader = false;
   };
@@ -125,7 +128,7 @@ struct CommitOutcome {
   std::uint32_t Variant = 0;
   /// Updated only: the stored variant's post-join state, captured after
   /// closure (exactly what the table held after this commit).
-  PcfgState NewState;
+  std::optional<PcfgState> NewState;
 };
 
 /// One worklist position of a recorded exploration: the step's effect log
@@ -317,14 +320,16 @@ private:
     std::set<std::string> LiveNs;
     for (const PendingSend &P : St.InFlight)
       LiveNs.insert(P.FreezeNs);
-    for (const std::string &Var : St.Cg.varNames()) {
+    std::vector<std::string> Dead;
+    for (std::string &Var : St.Cg.varNames()) {
       size_t Dot = Var.find('.');
       if (Dot == std::string::npos)
         continue;
       std::string Ns = Var.substr(0, Dot);
       if ((Ns[0] == 'q' || Ns.rfind("tmpq$", 0) == 0) && !LiveNs.count(Ns))
-        St.Cg.removeVar(Var);
+        Dead.push_back(std::move(Var));
     }
+    St.Cg.removeVars(Dead);
 
     St.canonicalize();
   }
@@ -371,11 +376,12 @@ private:
     // A's anchor slots (lo$/ub$) were renamed into NewName by the join
     // but describe A's old extent; drop them before the merged anchors
     // take those names.
-    for (const std::string &Var : St.Cg.varNames()) {
+    std::vector<std::string> Stale;
+    for (std::string &Var : St.Cg.varNames())
       if (Var.rfind(NewName + ".", 0) == 0 &&
           Var.find('$') != std::string::npos)
-        St.Cg.removeVar(Var);
-    }
+        Stale.push_back(std::move(Var));
+    St.Cg.removeVars(Stale);
     renameNsIn(St.Cg, "mrg$", NewName);
     Anchored = Anchored.withRenamedVars([&](const std::string &Var) {
       if (Var.rfind("mrg$.", 0) == 0)
@@ -391,11 +397,12 @@ private:
 
     // Remove stale namespaces (B's vars survived in CgA, A's in CgB; both
     // partially; clean them).
-    for (const std::string &Var : St.Cg.varNames()) {
+    Stale.clear();
+    for (std::string &Var : St.Cg.varNames())
       if (Var.rfind(A.Name + ".", 0) == 0 ||
           Var.rfind(B.Name + ".", 0) == 0)
-        St.Cg.removeVar(Var);
-    }
+        Stale.push_back(std::move(Var));
+    St.Cg.removeVars(Stale);
 
     // Erase J first (higher index), then replace I.
     St.Sets.erase(St.Sets.begin() + static_cast<long>(J));
@@ -1509,9 +1516,11 @@ private:
 
     // Collect the scratch anchors; relations they mediated are preserved
     // by the closure.
-    for (const std::string &Var : St.Cg.varNames())
+    std::vector<std::string> Anchors;
+    for (std::string &Var : St.Cg.varNames())
       if (Var.rfind("mt$", 0) == 0)
-        St.Cg.removeVar(Var);
+        Anchors.push_back(std::move(Var));
+    St.Cg.removeVars(Anchors);
 
     submit(std::move(St));
   }
@@ -2335,7 +2344,7 @@ bool Engine::adoptable(const TraceStep &Rec, const PcfgState &Popped) const {
       return false; // Converged traces carry none; refuse defensively.
     if (It.K == StepEffects::Item::Kind::Submit) {
       ++Submits;
-      if (!stateAdoptable(It.Sub, /*NeedSafe=*/false))
+      if (!stateAdoptable(*It.Sub, /*NeedSafe=*/false))
         return false;
     }
   }
@@ -2343,7 +2352,7 @@ bool Engine::adoptable(const TraceStep &Rec, const PcfgState &Popped) const {
     return false; // Malformed trace (e.g. truncated by a failure).
   for (const CommitOutcome &O : Rec.Outcomes)
     if (O.K == CommitOutcome::Kind::Updated &&
-        !stateAdoptable(O.NewState, /*NeedSafe=*/false))
+        !stateAdoptable(*O.NewState, /*NeedSafe=*/false))
       return false;
   return true;
 }
@@ -2361,10 +2370,10 @@ void Engine::remapTraceStates(TraceStep &T) const {
   };
   for (StepEffects::Item &It : T.Fx.Items)
     if (It.K == StepEffects::Item::Kind::Submit)
-      Remap(It.Sub);
+      Remap(*It.Sub);
   for (CommitOutcome &O : T.Outcomes)
     if (O.K == CommitOutcome::Kind::Updated)
-      Remap(O.NewState);
+      Remap(*O.NewState);
 }
 
 /// Replays one recorded step: applies its effect log exactly like
@@ -2401,7 +2410,7 @@ void Engine::adoptStep(const TraceStep &Rec, WorkItem W) {
       fail(It.FailKind, It.FailReason, std::move(It.FailConfig));
       break;
     case StepEffects::Item::Kind::Submit:
-      applyRecordedSubmission(std::move(It.Sub), It.SubKey,
+      applyRecordedSubmission(std::move(*It.Sub), It.SubKey,
                               Local.Outcomes[NextOutcome++]);
       break;
     }
@@ -2432,7 +2441,7 @@ void Engine::applyRecordedSubmission(PcfgState St, const std::string &Key,
   case CommitOutcome::Kind::Updated: {
     Stored &Entry = Variants[Out.Variant];
     Entry.Visits++;
-    Entry.State = std::move(Out.NewState); // Recorded post-close state.
+    Entry.State = std::move(*Out.NewState); // Recorded post-close state.
     Entry.Stamp++;
     Entry.Stuck.clear();
     push(Cid, Out.Variant);
@@ -2534,7 +2543,7 @@ void Engine::commitEffects(StepEffects &Fx) {
       fail(It.FailKind, It.FailReason, std::move(It.FailConfig));
       break;
     case StepEffects::Item::Kind::Submit:
-      commitSubmission(std::move(It.Sub), It.SubKey, It.SubAtLoopHeader);
+      commitSubmission(std::move(*It.Sub), It.SubKey, It.SubAtLoopHeader);
       break;
     }
   }
@@ -2824,10 +2833,10 @@ AnalysisResult Engine::run() {
     for (TraceStep &S : Captured->Steps) {
       for (StepEffects::Item &It : S.Fx.Items)
         if (It.K == StepEffects::Item::Kind::Submit)
-          It.Sub.Cg.detachAccounting();
+          It.Sub->Cg.detachAccounting();
       for (CommitOutcome &O : S.Outcomes)
         if (O.K == CommitOutcome::Kind::Updated)
-          O.NewState.Cg.detachAccounting();
+          O.NewState->Cg.detachAccounting();
     }
     Opts.Capture->Trace = std::move(Captured);
   }

@@ -82,8 +82,7 @@ void PcfgState::renameSet(size_t Idx, const std::string &NewName) {
 }
 
 void PcfgState::dropSetVars(const ProcSetEntry &Set) {
-  for (const std::string &Var : namespaceVars(Cg, Set.Name))
-    Cg.removeVar(Var);
+  Cg.removeVars(namespaceVars(Cg, Set.Name));
 }
 
 void PcfgState::canonicalize() {

@@ -2,7 +2,7 @@
 //
 // Tests for the interned-variable, copy-on-write numeric core: SymbolTable
 // id stability, CowDbm sharing and detach semantics, closure-memo hits,
-// and property-style checks that removeVar / renameVars / equivalentForms
+// and property-style checks that removeVars / renameVars / equivalentForms
 // preserve the closed form.
 //
 //===----------------------------------------------------------------------===//
@@ -154,6 +154,50 @@ TEST_P(CowTest, ChainedCopiesDetachIndependently) {
   EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 3)));
   EXPECT_FALSE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
   EXPECT_TRUE(C.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
+}
+
+TEST_P(CowTest, RemoveVarsOnSharedHandleDetachesOnce) {
+  auto X = [](unsigned I) { return "x" + std::to_string(I); };
+  for (unsigned Victims = 1; Victims <= 4; ++Victims) {
+    ConstraintGraph A = make();
+    for (unsigned I = 0; I < 4; ++I)
+      A.addLE(X(I), X(I + 1), 1);
+    std::vector<std::string> Names = A.varNames();
+    ConstraintGraph B = A;
+    std::int64_t Detaches = Stats.counter("cg.cow.detaches");
+
+    B.removeVars(std::vector<std::string>(Names.begin(),
+                                          Names.begin() + Victims));
+    EXPECT_EQ(Stats.counter("cg.cow.detaches"), Detaches + 1)
+        << Victims << " victims";
+    EXPECT_EQ(B.numVars(), 5u - Victims);
+    // The sibling keeps every variable and every bound.
+    EXPECT_EQ(A.varNames(), Names);
+    for (unsigned I = 0; I < 5; ++I)
+      for (unsigned J = I + 1; J < 5; ++J)
+        EXPECT_EQ(A.bestBound(X(I), X(J)), static_cast<std::int64_t>(J - I));
+  }
+}
+
+TEST_P(CowTest, RemoveVarsOfAbsentNamesNeitherClosesNorDetaches) {
+  ConstraintGraph A = make();
+  A.addLE("x", "y", 1);
+  A.addLE("y", "z", 1);
+  ConstraintGraph Other = make();
+  Other.ensureVar("elsewhere"); // Interned, but not a variable of A.
+  ConstraintGraph B = A;
+  std::int64_t Closures = Stats.counter("cg.closure.full.calls") +
+                          Stats.counter("cg.closure.incr.calls");
+  std::int64_t Detaches = Stats.counter("cg.cow.detaches");
+
+  B.removeVars({});
+  B.removeVars({"ghost", "elsewhere", "ghost"});
+  EXPECT_EQ(Stats.counter("cg.closure.full.calls") +
+                Stats.counter("cg.closure.incr.calls"),
+            Closures);
+  EXPECT_EQ(Stats.counter("cg.cow.detaches"), Detaches);
+  EXPECT_TRUE(B.sharesStorage());
+  EXPECT_EQ(B.numVars(), 3u);
 }
 
 //===----------------------------------------------------------------------===//

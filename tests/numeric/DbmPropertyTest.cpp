@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace csdf;
 
 namespace {
@@ -174,6 +176,143 @@ TEST_P(DbmPropertyTest, RemoveVarPreservesOtherEntailments) {
         EXPECT_EQ(A.bestBound(varName(X), varName(Y)),
                   P.bestBound(varName(X), varName(Y)));
       }
+  }
+}
+
+/// Victim name lists for removeVars: empty, random subsets, duplicates,
+/// names absent from the graph, and the first and last slots.
+std::vector<std::vector<std::string>>
+victimSets(Rng &R, const std::vector<std::string> &Names, int NumVars) {
+  std::vector<std::vector<std::string>> Sets;
+  Sets.push_back({});
+  Sets.push_back({Names.front()});
+  Sets.push_back({Names.back()});
+  Sets.push_back({Names.back(), Names.front()});
+  Sets.push_back(Names);
+  Sets.push_back({"absent", "v" + std::to_string(NumVars + 3)});
+  for (int Trial = 0; Trial < 6; ++Trial) {
+    std::vector<std::string> Pick;
+    for (const std::string &Name : Names)
+      if (R.range(0, 2) == 0)
+        Pick.push_back(Name);
+    if (!Pick.empty() && R.range(0, 1) == 0)
+      Pick.push_back(Pick.front()); // Duplicate.
+    if (R.range(0, 1) == 0)
+      Pick.insert(Pick.begin(), "absent");
+    Sets.push_back(std::move(Pick));
+  }
+  return Sets;
+}
+
+TEST_P(DbmPropertyTest, RemoveVarsMatchesSequentialRemoval) {
+  Rng R(GetParam() + 800);
+  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+    for (int Trial = 0; Trial < 10; ++Trial) {
+      const int NumVars = 7;
+      // Every projection starts from a freshly built, never-closed copy
+      // of the same graph, so removal must do its own closing.
+      const Rng Start = R;
+      auto Build = [&]() {
+        Rng Again = Start;
+        return randomGraph(Again, NumVars, 12, Backend);
+      };
+      ConstraintGraph A = randomGraph(R, NumVars, 12, Backend);
+      std::vector<std::string> Names = A.varNames();
+      if (Names.empty())
+        continue;
+      for (const std::vector<std::string> &Victims :
+           victimSets(R, Names, NumVars)) {
+        ConstraintGraph Batch = Build();
+        Batch.removeVars(Victims);
+        // The sequential reference: one projection per name, in order.
+        ConstraintGraph Seq = Build();
+        for (const std::string &Name : Victims)
+          Seq.removeVar(Name);
+
+        ASSERT_EQ(Batch.varNames(), Seq.varNames());
+        EXPECT_EQ(Batch.isFeasible(), Seq.isFeasible());
+        EXPECT_TRUE(Batch.equals(Seq));
+        for (const std::string &X : Batch.varNames()) {
+          EXPECT_FALSE(std::count(Victims.begin(), Victims.end(), X));
+          for (const std::string &Y : Batch.varNames()) {
+            if (X == Y)
+              continue;
+            EXPECT_EQ(Batch.bestBound(X, Y), Seq.bestBound(X, Y))
+                << X << " vs " << Y;
+            if (A.isFeasible()) {
+              EXPECT_EQ(Batch.bestBound(X, Y), A.bestBound(X, Y))
+                  << "projection changed " << X << " vs " << Y;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DbmPropertyTest, RemoveVarsKeepsStorageExact) {
+  // Storage level: the compacted matrix is the survivors' submatrix, both
+  // backends agree, and after a projection the dense occupancy bitmap is
+  // exact — a bit is clear iff its row has no finite off-diagonal bound —
+  // even when stale bits were set beforehand.
+  Rng R(GetParam() + 900);
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    const unsigned N = static_cast<unsigned>(R.range(1, 12));
+    DenseDbmStorage D;
+    MapDbmStorage M;
+    D.resize(N);
+    M.resize(N);
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = 0; J < N; ++J) {
+        std::int64_t Bound = DbmInfinity;
+        if (I == J)
+          Bound = 0;
+        else if (R.range(0, 3) == 0)
+          Bound = R.range(-4, 9);
+        D.set(I, J, Bound);
+        M.set(I, J, Bound);
+        if (I != J && R.range(0, 5) == 0) {
+          // Leave a stale occupancy bit behind.
+          D.set(I, J, 1);
+          D.set(I, J, Bound);
+        }
+      }
+    std::vector<unsigned> Victims, Keep;
+    for (unsigned I = 0; I < N; ++I)
+      (R.range(0, 2) == 0 ? Victims : Keep).push_back(I);
+    if (Trial % 5 == 0) { // Always cover the first and last slots.
+      Victims = {0, N - 1};
+      Victims.erase(std::unique(Victims.begin(), Victims.end()),
+                    Victims.end());
+      Keep.clear();
+      for (unsigned I = 1; I + 1 < N; ++I)
+        Keep.push_back(I);
+    }
+    std::vector<std::vector<std::int64_t>> Before(
+        N, std::vector<std::int64_t>(N));
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = 0; J < N; ++J)
+        Before[I][J] = D.get(I, J);
+
+    D.removeVars(Victims);
+    M.removeVars(Victims);
+    ASSERT_EQ(D.size(), Keep.size());
+    ASSERT_EQ(M.size(), Keep.size());
+    for (unsigned I = 0; I < Keep.size(); ++I) {
+      bool AnyFinite = false;
+      for (unsigned J = 0; J < Keep.size(); ++J) {
+        EXPECT_EQ(D.get(I, J), Before[Keep[I]][Keep[J]]);
+        EXPECT_EQ(M.get(I, J), D.get(I, J));
+        AnyFinite |= I != J && D.get(I, J) < DbmInfinity;
+      }
+      // An empty victim set leaves the storage untouched, stale bits and
+      // all; the one-sided contract still holds.
+      if (Victims.empty()) {
+        EXPECT_TRUE(D.rowOccupancy()[I] || !AnyFinite) << "row " << I;
+      } else {
+        EXPECT_EQ(D.rowOccupancy()[I] != 0, AnyFinite) << "row " << I;
+      }
+    }
   }
 }
 
