@@ -13,6 +13,7 @@
 #include "support/Stats.h"
 #include "support/Version.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -500,39 +501,42 @@ void serveConnection(ServeServer &Server, std::mutex &Mu, int Fd,
   }
 }
 
+/// A shed connection that has its `overloaded` line and a half-closed
+/// write side, waiting for the client to finish with it.
+struct ShedPeer {
+  int Fd;
+  std::chrono::steady_clock::time_point Deadline;
+};
+
+/// How long the accept loop keeps draining a shed connection's unread
+/// request before it closes the connection anyway.
+constexpr std::chrono::milliseconds ShedDrainTime{100};
+
+/// At most this many shed connections are held open for draining; past
+/// it the oldest is closed at once, so a flood cannot exhaust descriptors.
+constexpr std::size_t MaxShedPeers = 256;
+
 /// Answers an unadmitted connection with a retryable `overloaded` line and
-/// closes it without resetting the peer. Closing a Unix socket whose
-/// receive queue still holds the client's unread request raises
-/// ECONNRESET at the client, which can then lose the buffered response
-/// line. So the write side is half-closed first (the client sees the line,
-/// then EOF), and the request is drained for a short bounded time — until
-/// the client closes or the deadline passes — before the close.
+/// half-closes its write side; it returns at once and never reads. Closing
+/// a Unix socket whose receive queue still holds the client's unread
+/// request raises ECONNRESET at the client, which can then lose the
+/// buffered response line. So the accept loop keeps the connection open
+/// and drains the request (drainShed) until the client closes or
+/// ShedDrainTime passes, alongside accepting — an idle shed client delays
+/// nobody.
 void shedConnection(int Conn) {
   writeAllFd(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
   ::shutdown(Conn, SHUT_WR);
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point Deadline =
-      Clock::now() + std::chrono::milliseconds(100);
+}
+
+/// Reads what a readable shed connection holds without blocking. True once
+/// the connection is finished with: EOF (the client closed) or an error.
+bool drainShed(int Conn) {
   char Buf[4096];
-  while (true) {
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Deadline - Clock::now())
-                    .count();
-    if (Left <= 0)
-      break;
-    pollfd P{Conn, POLLIN, 0};
-    int R = ::poll(&P, 1, static_cast<int>(Left));
-    if (R < 0 && errno == EINTR)
-      continue;
-    if (R <= 0)
-      break;
-    ssize_t N = ::read(Conn, Buf, sizeof(Buf));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      break; // EOF (the client is done) or a real error.
-  }
-  ::close(Conn);
+  ssize_t N = ::recv(Conn, Buf, sizeof(Buf), MSG_DONTWAIT);
+  if (N < 0)
+    return errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK;
+  return N == 0;
 }
 
 } // namespace
@@ -584,16 +588,44 @@ int csdf::runServe(const ServeOptions &Opts) {
   std::vector<std::thread> Threads;
   const unsigned AdmitLimit = Opts.MaxInflight + Opts.QueueDepth;
 
+  // Shed connections being drained share the accept loop's poll: Polled[0]
+  // is the listening socket, Polled[1 + K] is Shed[K].
+  using Clock = std::chrono::steady_clock;
+  std::vector<ShedPeer> Shed;
+  std::vector<pollfd> Polled;
+
   while (!Shutdown.load()) {
-    pollfd P{Fd, POLLIN, 0};
-    int R = ::poll(&P, 1, 200);
+    int TimeoutMs = 200; // re-check Shutdown at least this often
+    Polled.assign(1, pollfd{Fd, POLLIN, 0});
+    const Clock::time_point Now = Clock::now();
+    for (const ShedPeer &S : Shed) {
+      Polled.push_back(pollfd{S.Fd, POLLIN, 0});
+      auto Left = std::chrono::ceil<std::chrono::milliseconds>(S.Deadline -
+                                                               Now)
+                      .count();
+      TimeoutMs = static_cast<int>(
+          std::clamp<decltype(Left)>(Left, 0, TimeoutMs));
+    }
+    int R = ::poll(Polled.data(), Polled.size(), TimeoutMs);
     if (R < 0) {
       if (errno == EINTR)
         continue;
       break;
     }
-    if (R == 0)
-      continue; // timeout: re-check Shutdown
+    // Close the shed connections whose clients are done or out of time.
+    const Clock::time_point After = Clock::now();
+    std::size_t Kept = 0;
+    for (std::size_t K = 0; K < Shed.size(); ++K) {
+      bool Done = Shed[K].Deadline <= After ||
+                  (Polled[1 + K].revents != 0 && drainShed(Shed[K].Fd));
+      if (Done)
+        ::close(Shed[K].Fd);
+      else
+        Shed[Kept++] = Shed[K];
+    }
+    Shed.resize(Kept);
+    if (Polled[0].revents == 0)
+      continue;
     int Conn = ::accept(Fd, nullptr, nullptr);
     if (Conn < 0) {
       if (errno == EINTR)
@@ -602,6 +634,11 @@ int csdf::runServe(const ServeOptions &Opts) {
     }
     if (Inflight.load() >= AdmitLimit) {
       shedConnection(Conn);
+      if (Shed.size() >= MaxShedPeers) {
+        ::close(Shed.front().Fd);
+        Shed.erase(Shed.begin());
+      }
+      Shed.push_back(ShedPeer{Conn, Clock::now() + ShedDrainTime});
       std::lock_guard<std::mutex> Lock(Mu);
       Server.countShed();
       continue;
@@ -618,6 +655,8 @@ int csdf::runServe(const ServeOptions &Opts) {
   // gets its response before the process exits.
   for (std::thread &T : Threads)
     T.join();
+  for (const ShedPeer &S : Shed)
+    ::close(S.Fd);
   ::close(Fd);
   ::unlink(Opts.SocketPath.c_str());
   Server.flushStore();

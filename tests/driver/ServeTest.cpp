@@ -404,11 +404,9 @@ TEST(ServeTest, CorruptedStoreEntryIsQuarantinedAndReanalyzed) {
   ServeServer Restarted(SOpts);
   std::string Second = request(Restarted, Line);
   // Never served: the corrupt record was quarantined and the request
-  // re-analyzed — landing on the same (deterministic) result bytes, bar
-  // the wall_ms measurement of the fresh run.
+  // re-analyzed — landing on the same (deterministic) result bytes.
   EXPECT_FALSE(parsed(Second).get("cached")->asBool());
-  EXPECT_EQ(normalizeWallMs(rawResult(Second)),
-            normalizeWallMs(rawResult(First)));
+  EXPECT_EQ(rawResult(Second), rawResult(First));
   EXPECT_EQ(Restarted.stats().DiskQuarantined, 1u);
   EXPECT_TRUE(fs::exists(S.Dir / "quarantine"));
   // The re-analysis re-populated the store: next restart hits again.

@@ -204,45 +204,108 @@ victimSets(Rng &R, const std::vector<std::string> &Names, int NumVars) {
   return Sets;
 }
 
+/// A random graph for projection tests: randomGraph's difference edges
+/// plus a few constant bounds, so the zero slot's row and column carry
+/// finite entries too. With \p Contradict a negative cycle through v0 and
+/// v1 makes it infeasible.
+ConstraintGraph projectionGraph(Rng &R, int NumVars, DbmBackend Backend,
+                                bool Contradict) {
+  ConstraintGraph G = randomGraph(R, NumVars, 12, Backend);
+  for (int B = 0; B < 3; ++B) {
+    std::string V = varName(static_cast<int>(R.range(0, NumVars - 1)));
+    if (R.range(0, 1) == 0)
+      G.addUpperBound(V, R.range(0, 9));
+    else
+      G.addLowerBound(V, R.range(-9, 0));
+  }
+  if (Contradict) {
+    G.addLE(varName(0), varName(1), -1);
+    G.addLE(varName(1), varName(0), -1);
+  }
+  return G;
+}
+
+/// The tightest constant bounds {upper, lower} on \p X that \p G entails,
+/// found by bisection over a window wider than any bound projectionGraph
+/// can derive; nullopt where none holds inside the window.
+std::pair<std::optional<std::int64_t>, std::optional<std::int64_t>>
+constBounds(const ConstraintGraph &G, const std::string &X) {
+  const std::int64_t Window = 128;
+  auto Tightest = [&](auto Proves) -> std::optional<std::int64_t> {
+    if (!Proves(Window))
+      return std::nullopt;
+    std::int64_t Lo = -Window - 1, Hi = Window; // !Proves(Lo), Proves(Hi)
+    if (Proves(Lo))
+      return Lo;
+    while (Hi - Lo > 1) {
+      std::int64_t Mid = Lo + (Hi - Lo) / 2;
+      (Proves(Mid) ? Hi : Lo) = Mid;
+    }
+    return Hi;
+  };
+  LinearExpr Var(X, 0);
+  auto Upper = Tightest([&](std::int64_t C) {
+    return G.provesLE(Var, LinearExpr(C));
+  });
+  auto NegLower = Tightest([&](std::int64_t C) {
+    return G.provesLE(LinearExpr(-C), Var);
+  });
+  if (NegLower)
+    NegLower = -*NegLower;
+  return {Upper, NegLower};
+}
+
 TEST_P(DbmPropertyTest, RemoveVarsMatchesSequentialRemoval) {
+  // Projection must keep exactly the survivors' closed bounds. The oracle
+  // is the unprojected graph itself, closed: every bound between two
+  // survivors (and between a survivor and the zero slot) must be what it
+  // was, and an infeasible graph must stay infeasible. Batch removal must
+  // also agree with removing the same names one at a time.
   Rng R(GetParam() + 800);
   for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
     for (int Trial = 0; Trial < 10; ++Trial) {
       const int NumVars = 7;
+      const bool Contradict = Trial % 5 == 4;
       // Every projection starts from a freshly built, never-closed copy
       // of the same graph, so removal must do its own closing.
       const Rng Start = R;
       auto Build = [&]() {
         Rng Again = Start;
-        return randomGraph(Again, NumVars, 12, Backend);
+        return projectionGraph(Again, NumVars, Backend, Contradict);
       };
-      ConstraintGraph A = randomGraph(R, NumVars, 12, Backend);
-      std::vector<std::string> Names = A.varNames();
-      if (Names.empty())
-        continue;
+      const ConstraintGraph Original =
+          projectionGraph(R, NumVars, Backend, Contradict);
+      if (Contradict) {
+        ASSERT_FALSE(Original.isFeasible());
+      }
+      std::vector<std::string> Names = Original.varNames();
       for (const std::vector<std::string> &Victims :
            victimSets(R, Names, NumVars)) {
+        std::vector<std::string> Survivors;
+        for (const std::string &Name : Names)
+          if (!std::count(Victims.begin(), Victims.end(), Name))
+            Survivors.push_back(Name);
+
         ConstraintGraph Batch = Build();
         Batch.removeVars(Victims);
-        // The sequential reference: one projection per name, in order.
         ConstraintGraph Seq = Build();
         for (const std::string &Name : Victims)
           Seq.removeVar(Name);
 
-        ASSERT_EQ(Batch.varNames(), Seq.varNames());
-        EXPECT_EQ(Batch.isFeasible(), Seq.isFeasible());
+        ASSERT_EQ(Batch.varNames(), Survivors);
+        ASSERT_EQ(Seq.varNames(), Survivors);
+        EXPECT_EQ(Batch.isFeasible(), Original.isFeasible());
+        EXPECT_EQ(Seq.isFeasible(), Original.isFeasible());
         EXPECT_TRUE(Batch.equals(Seq));
-        for (const std::string &X : Batch.varNames()) {
-          EXPECT_FALSE(std::count(Victims.begin(), Victims.end(), X));
-          for (const std::string &Y : Batch.varNames()) {
+        for (const std::string &X : Survivors) {
+          EXPECT_EQ(constBounds(Batch, X), constBounds(Original, X)) << X;
+          for (const std::string &Y : Survivors) {
             if (X == Y)
               continue;
-            EXPECT_EQ(Batch.bestBound(X, Y), Seq.bestBound(X, Y))
-                << X << " vs " << Y;
-            if (A.isFeasible()) {
-              EXPECT_EQ(Batch.bestBound(X, Y), A.bestBound(X, Y))
-                  << "projection changed " << X << " vs " << Y;
-            }
+            EXPECT_EQ(Batch.bestBound(X, Y), Original.bestBound(X, Y))
+                << "projection changed " << X << " vs " << Y;
+            EXPECT_EQ(Seq.bestBound(X, Y), Original.bestBound(X, Y))
+                << "sequential projection changed " << X << " vs " << Y;
           }
         }
       }

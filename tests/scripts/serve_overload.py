@@ -7,7 +7,10 @@
 2. Run `csdf client` against the saturated daemon while the idle
    connections drain shortly after: the client's capped-backoff retry
    must recover and exit 0.
-3. `csdf client` retry also recovers from a daemon that comes up late
+3. Shed clients that stay connected without sending anything do not
+   hold up the daemon: each gets its `overloaded` line at once, and a
+   request admitted right behind them is answered promptly.
+4. `csdf client` retry also recovers from a daemon that comes up late
    (connect refused is retryable).
 
 Usage: serve_overload.py <csdf-binary>
@@ -37,6 +40,12 @@ from csdf_serve_util import (
 
 MAX_INFLIGHT = 2
 QUEUE_DEPTH = 2
+# Silent shed clients opened at once. The daemon may keep draining each
+# for 100 ms; drained one after another on the accept loop, the last of
+# them would get its line, and the next request be admitted, only after
+# LINGERING * 0.1 s = 4 s, far past LINGER_BUDGET_S.
+LINGERING = 40
+LINGER_BUDGET_S = 2.0
 
 
 def main():
@@ -71,6 +80,60 @@ def saturate(sock, n):
             ns.connect(sock)
             idle.append(ns)
     fail("could not hold %d idle connections open" % n)
+
+
+def read_line(s):
+    buf = b""
+    while b"\n" not in buf:
+        chunk = s.recv(4096)
+        if not chunk:
+            break
+        buf += chunk
+    return buf.split(b"\n", 1)[0].decode()
+
+
+def check_lingering_shed_clients(sock, mpl):
+    idle = saturate(sock, MAX_INFLIGHT + QUEUE_DEPTH)
+    start = time.time()
+    lingering = []
+    for _ in range(LINGERING):
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.settimeout(10.0)
+        s.connect(sock)
+        lingering.append(s)
+    # Every silent client must be shed (not admitted into a slot it would
+    # never free) before the admission slots are released.
+    for s in lingering:
+        try:
+            line = read_line(s)
+        except OSError as e:
+            fail("lingering shed client lost its response: %s" % e)
+        if json.loads(line).get("code") != "overloaded":
+            fail("lingering shed client got %r, not overloaded" % line)
+    for s in idle:
+        s.close()
+    while True:
+        raw, resp = request_json(
+            sock, {"type": "analyze", "path": mpl}, timeout=10.0
+        )
+        if resp is None:
+            fail("request behind lingering shed clients got no response")
+        if resp.get("ok"):
+            break
+        if resp.get("code") != "overloaded":
+            fail("unexpected response behind lingering shed clients: %r"
+                 % raw)
+        if time.time() - start > 10.0:
+            fail("slots never freed after the idle connections closed")
+        time.sleep(0.02)  # a freed slot not yet released: retry
+    elapsed = time.time() - start
+    for s in lingering:
+        s.close()
+    if elapsed > LINGER_BUDGET_S:
+        fail("%d silent shed clients delayed the next admitted request "
+             "by %.2f s" % (LINGERING, elapsed))
+    log("%d silent shed clients did not hold up the next request "
+        "(%.2f s)" % (LINGERING, elapsed))
 
 
 def run(csdf, sock, mpl):
@@ -120,6 +183,8 @@ def run(csdf, sock, mpl):
     if not json.loads(line).get("ok"):
         fail("client's final response is not ok: %r" % line)
     log("csdf client recovered once the overload drained")
+
+    check_lingering_shed_clients(sock, mpl)
 
     stats = get_stats(sock)
     if stats["shed_connections"] < 1:
