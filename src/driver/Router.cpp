@@ -251,15 +251,10 @@ std::string RouterServer::handleLine(const std::string &Line,
   // The original line is forwarded byte-verbatim: the shard computes the
   // exact cache key a direct request would, so routing adds placement,
   // never a second spelling of the request.
+  std::string Key = api::wireRoutingKey(Req);
   std::string Resp;
-  bool Answered = false;
-  bool FirstAttempt = true;
-  for (const std::string &Backend : candidates(api::wireRoutingKey(Req))) {
-    if (!FirstAttempt) {
-      std::lock_guard<std::mutex> L(StatsMu);
-      ++Stats.Failovers;
-    }
-    FirstAttempt = false;
+  std::string AnsweredBy;
+  for (const std::string &Backend : candidates(Key)) {
     if (!forwardOnce(Backend, Line, Resp)) {
       // Demote immediately — the probe will promote it back when it
       // accepts connections again.
@@ -279,14 +274,18 @@ std::string RouterServer::handleLine(const std::string &Line,
     if (!Resp.empty() && Resp.back() == '}')
       Resp.insert(Resp.size() - 1,
                   ",\"shard\":\"" + jsonEscape(Backend) + "\"");
-    Answered = true;
+    AnsweredBy = Backend;
     break;
   }
   admitRelease(Req.Tenant);
 
-  if (Answered) {
+  if (!AnsweredBy.empty()) {
     std::lock_guard<std::mutex> L(StatsMu);
     ++Stats.Forwarded;
+    // Counted by who answered, not by failed attempts: a primary the
+    // health probe already demoted is routed around without one.
+    if (AnsweredBy != Ring.owner(Key))
+      ++Stats.Failovers;
     return Resp;
   }
   {

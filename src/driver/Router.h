@@ -83,7 +83,8 @@ struct RouterStats {
   std::uint64_t Requests = 0;
   /// Requests answered by a shard (possibly after failover).
   std::uint64_t Forwarded = 0;
-  /// Attempts that moved past a dead or overloaded shard to a successor.
+  /// Requests answered by a shard other than their ring primary (the
+  /// primary was dead, overloaded, or demoted by the health probe).
   std::uint64_t Failovers = 0;
   /// Requests shed by per-tenant admission control.
   std::uint64_t TenantSheds = 0;

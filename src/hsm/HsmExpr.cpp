@@ -6,7 +6,12 @@
 
 #include "hsm/HsmExpr.h"
 
+#include "lang/ExprOps.h"
+#include "support/Budget.h"
 #include "support/Casting.h"
+#include "support/Stats.h"
+
+#include <functional>
 
 using namespace csdf;
 
@@ -171,4 +176,132 @@ bool csdf::hsmFullSetMatch(const Expr *SendExpr, const Poly &SenderLo,
   if (!Composed)
     return false;
   return hsmSequenceEquals(*Composed, Senders, Facts);
+}
+
+//===----------------------------------------------------------------------===//
+// HsmMatchMemo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Hash consistent with exprEquals; nullopt when \p E contains input(),
+/// which exprEquals never equates.
+std::optional<std::size_t> structuralHash(const Expr *E) {
+  std::size_t H = static_cast<std::size_t>(E->kind());
+  switch (E->kind()) {
+  case Expr::Kind::IntLit:
+    return hashCombine(
+        H, std::hash<std::int64_t>()(cast<IntLitExpr>(E)->value()));
+  case Expr::Kind::VarRef:
+    return hashCombine(
+        H, std::hash<std::string>()(cast<VarRefExpr>(E)->name()));
+  case Expr::Kind::Input:
+    return std::nullopt;
+  case Expr::Kind::Unary: {
+    const auto *U = cast<UnaryExpr>(E);
+    auto Inner = structuralHash(U->operand());
+    if (!Inner)
+      return std::nullopt;
+    return hashCombine(hashCombine(H, static_cast<std::size_t>(U->op())),
+                       *Inner);
+  }
+  case Expr::Kind::Binary: {
+    const auto *B = cast<BinaryExpr>(E);
+    auto L = structuralHash(B->lhs());
+    auto R = structuralHash(B->rhs());
+    if (!L || !R)
+      return std::nullopt;
+    H = hashCombine(H, static_cast<std::size_t>(B->op()));
+    return hashCombine(hashCombine(H, *L), *R);
+  }
+  }
+  return std::nullopt;
+}
+
+void bump(std::atomic<std::int64_t> *Cell) {
+  if (Cell)
+    Cell->fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
+
+HsmMatchMemo::HsmMatchMemo(StatsRegistry *Stats) {
+  if (Stats) {
+    Hits = &Stats->counterCell("hsm.match.memo.hits");
+    Misses = &Stats->counterCell("hsm.match.memo.misses");
+  }
+}
+
+std::size_t HsmMatchMemo::size() const {
+  std::lock_guard<std::mutex> L(Mu);
+  std::size_t N = 0;
+  for (const auto &[Key, Bucket] : Entries)
+    N += Bucket.size();
+  return N;
+}
+
+const HsmMatchMemo::Entry *
+HsmMatchMemo::find(std::size_t Key, const Expr *SendExpr,
+                   const Poly &SenderLo, const Poly &SenderCount,
+                   const Expr *RecvExpr, const Poly &RecvLo,
+                   const Poly &RecvCount, const FactEnv &Facts) const {
+  auto It = Entries.find(Key);
+  if (It == Entries.end())
+    return nullptr;
+  for (const Entry &E : It->second)
+    if (E.SenderLo == SenderLo && E.SenderCount == SenderCount &&
+        E.RecvLo == RecvLo && E.RecvCount == RecvCount && E.Facts == Facts &&
+        exprEquals(E.SendExpr, SendExpr) && exprEquals(E.RecvExpr, RecvExpr))
+      return &E;
+  return nullptr;
+}
+
+bool HsmMatchMemo::match(const Expr *SendExpr, Poly SenderLo,
+                         Poly SenderCount, const Expr *RecvExpr, Poly RecvLo,
+                         Poly RecvCount, const FactEnv &Facts) {
+  std::optional<std::size_t> SendHash = structuralHash(SendExpr);
+  std::optional<std::size_t> RecvHash = structuralHash(RecvExpr);
+  if (!SendHash || !RecvHash) {
+    // An input() read is a new question every time.
+    bump(Misses);
+    return hsmFullSetMatch(SendExpr, SenderLo, SenderCount, RecvExpr, RecvLo,
+                           RecvCount, Facts);
+  }
+  std::size_t Key = hashCombine(hashCombine(Facts.hash(), *SendHash),
+                                *RecvHash);
+  for (const Poly *P : {&SenderLo, &SenderCount, &RecvLo, &RecvCount})
+    Key = hashCombine(Key, P->hash());
+
+  bool Hit = false, Verdict = false;
+  std::uint64_t Steps = 0;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    if (const Entry *E = find(Key, SendExpr, SenderLo, SenderCount, RecvExpr,
+                              RecvLo, RecvCount, Facts)) {
+      Hit = true;
+      Verdict = E->Verdict;
+      Steps = E->Steps;
+    }
+  }
+  if (Hit) {
+    bump(Hits);
+    // Charged outside the lock: the budget may throw.
+    budgetProverSteps(Steps);
+    return Verdict;
+  }
+
+  bump(Misses);
+  {
+    ProverStepTally Tally;
+    Verdict = hsmFullSetMatch(SendExpr, SenderLo, SenderCount, RecvExpr,
+                              RecvLo, RecvCount, Facts);
+    Steps = Tally.steps();
+  }
+  std::lock_guard<std::mutex> L(Mu);
+  if (!find(Key, SendExpr, SenderLo, SenderCount, RecvExpr, RecvLo,
+            RecvCount, Facts))
+    Entries[Key].push_back({SendExpr, RecvExpr, std::move(SenderLo),
+                            std::move(SenderCount), std::move(RecvLo),
+                            std::move(RecvCount), Facts, Verdict, Steps});
+  return Verdict;
 }

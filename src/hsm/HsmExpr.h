@@ -17,6 +17,9 @@
 ///
 /// FactEnvs are built from `assume` equalities (`np == ncols * nrows`).
 ///
+/// HsmMatchMemo caches full-set match verdicts for one analysis run, so a
+/// program that writes the same transpose in every phase proves it once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSDF_HSM_HSMEXPR_H
@@ -25,9 +28,16 @@
 #include "hsm/Hsm.h"
 #include "lang/Ast.h"
 
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 namespace csdf {
+
+class StatsRegistry;
 
 /// Converts \p E to a polynomial over program variables (+, -, * only).
 std::optional<Poly> polyOfExpr(const Expr *E);
@@ -57,6 +67,66 @@ bool hsmFullSetMatch(const Expr *SendExpr, const Poly &SenderLo,
                      const Poly &SenderCount, const Expr *RecvExpr,
                      const Poly &RecvLo, const Poly &RecvCount,
                      const FactEnv &Facts);
+
+/// A memo in front of hsmFullSetMatch, owned by one analysis run.
+///
+/// Questions are keyed by structure: the partner expressions are compared
+/// with exprEquals (and hashed to match), the four bounds and the facts by
+/// value. Each phase of a program has its own AST nodes, so keying by
+/// address would almost never hit. Expressions containing input() never
+/// equal anything and bypass the memo.
+///
+/// Each entry records the verdict and the prover steps its uncached proof
+/// took (counted by a ProverStepTally). A hit charges the same steps to
+/// the thread's budget, so step counts and `--prover-steps` trips do not
+/// depend on whether an answer came from the memo. A proof that throws
+/// stores nothing.
+///
+/// Thread-safe: the parallel drain's workers share one memo. Lookups and
+/// inserts take a mutex; proofs run outside it, so two threads missing on
+/// the same question may both prove it (the answers are equal).
+class HsmMatchMemo {
+public:
+  /// \p Stats, when non-null, receives the `hsm.match.memo.hits` and
+  /// `hsm.match.memo.misses` counters.
+  explicit HsmMatchMemo(StatsRegistry *Stats = nullptr);
+
+  HsmMatchMemo(const HsmMatchMemo &) = delete;
+  HsmMatchMemo &operator=(const HsmMatchMemo &) = delete;
+
+  /// hsmFullSetMatch over the same arguments, from the memo when the
+  /// question was asked before. The bounds are taken by value so a miss
+  /// can move them into its entry.
+  bool match(const Expr *SendExpr, Poly SenderLo, Poly SenderCount,
+             const Expr *RecvExpr, Poly RecvLo, Poly RecvCount,
+             const FactEnv &Facts);
+
+  /// Number of questions with a stored answer.
+  std::size_t size() const;
+
+private:
+  /// One answered question. The expressions are the first ones asked; the
+  /// AST they belong to outlives the analysis run, and so the memo.
+  struct Entry {
+    const Expr *SendExpr = nullptr, *RecvExpr = nullptr;
+    Poly SenderLo, SenderCount, RecvLo, RecvCount;
+    FactEnv Facts;
+    bool Verdict = false;
+    std::uint64_t Steps = 0;
+  };
+
+  /// The stored answer to a question, or null. The caller holds Mu.
+  const Entry *find(std::size_t Key, const Expr *SendExpr,
+                    const Poly &SenderLo, const Poly &SenderCount,
+                    const Expr *RecvExpr, const Poly &RecvLo,
+                    const Poly &RecvCount, const FactEnv &Facts) const;
+
+  mutable std::mutex Mu;
+  /// Question hash -> answers (a bucket per hash keeps lookups copy-free).
+  std::unordered_map<std::size_t, std::vector<Entry>> Entries;
+  std::atomic<std::int64_t> *Hits = nullptr;
+  std::atomic<std::int64_t> *Misses = nullptr;
+};
 
 } // namespace csdf
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <sstream>
 
 using namespace csdf;
@@ -154,6 +155,16 @@ std::optional<std::int64_t> Poly::eval(
   return Sum;
 }
 
+std::size_t Poly::hash() const {
+  std::size_t H = Terms.size();
+  for (const Mono &M : Terms) {
+    H = hashCombine(H, std::hash<std::int64_t>()(M.Coeff));
+    for (const std::string &V : M.Vars)
+      H = hashCombine(H, std::hash<std::string>()(V));
+  }
+  return H;
+}
+
 std::string Poly::str() const {
   if (Terms.empty())
     return "0";
@@ -210,6 +221,14 @@ Poly FactEnv::canon(const Poly &P) const {
   for (const auto &[Var, Replacement] : Rewrites)
     Cur = substitute(Cur, Var, Replacement);
   return Cur;
+}
+
+std::size_t FactEnv::hash() const {
+  std::size_t H = Rewrites.size();
+  for (const auto &[Var, Replacement] : Rewrites)
+    H = hashCombine(hashCombine(H, std::hash<std::string>()(Var)),
+                    Replacement.hash());
+  return H;
 }
 
 void FactEnv::intersectWith(const FactEnv &O) {

@@ -25,6 +25,11 @@
 
 namespace csdf {
 
+/// Mixes \p V into the running hash \p Seed (for memo lookups).
+inline std::size_t hashCombine(std::size_t Seed, std::size_t V) {
+  return Seed ^ (V + 0x9e3779b97f4a7c15ull + (Seed << 6) + (Seed >> 2));
+}
+
 /// A monomial: Coeff * (product of variables, with multiplicity).
 struct Mono {
   std::int64_t Coeff = 0;
@@ -110,6 +115,9 @@ public:
   bool operator!=(const Poly &O) const { return !(*this == O); }
   bool operator<(const Poly &O) const { return Terms < O.Terms; }
 
+  /// Hash consistent with operator== (for memo lookups).
+  std::size_t hash() const;
+
   std::string str() const;
 
 private:
@@ -152,6 +160,9 @@ public:
   void intersectWith(const FactEnv &O);
 
   bool operator==(const FactEnv &O) const { return Rewrites == O.Rewrites; }
+
+  /// Hash consistent with operator== (for memo lookups).
+  std::size_t hash() const;
 
 private:
   /// Substitutes Var -> Replacement in every term of P.

@@ -168,9 +168,10 @@ class Stepper {
 public:
   Stepper(const Cfg &Graph, const AnalysisOptions &Opts, const LoopInfo &Loops,
           const std::set<std::string> &AssignedVars,
-          const std::map<CfgNodeId, WaitResolution> &WaitPlans)
+          const std::map<CfgNodeId, WaitResolution> &WaitPlans,
+          HsmMatchMemo &HsmMemo)
       : Graph(Graph), Opts(Opts), Loops(Loops), AssignedVars(AssignedVars),
-        WaitPlans(WaitPlans) {}
+        WaitPlans(WaitPlans), HsmMemo(HsmMemo) {}
 
   /// Submits the initial state (the seeding half of Figure 4).
   void seed(PcfgState Init) { submit(std::move(Init)); }
@@ -1718,7 +1719,8 @@ private:
           M = aggregateMatch(St, St.InFlight[P], RecvD, TagConflict);
         } else {
           CommDesc SendD = descOfPending(St.InFlight[P]);
-          M = tryMatch(Opts, SendD, RecvD, St.Cg, St.Facts, TagConflict);
+          M = tryMatch(Opts, SendD, RecvD, St.Cg, St.Facts, HsmMemo,
+                       TagConflict);
         }
         if (TagConflict)
           logTagConflict(St.InFlight[P].SendNode, RecvD.Node);
@@ -1736,8 +1738,8 @@ private:
             continue;
           CommDesc SendD = descOfSet(St, St.Sets[S]);
           bool TagConflict = false;
-          auto M =
-              tryMatch(Opts, SendD, RecvD, St.Cg, St.Facts, TagConflict);
+          auto M = tryMatch(Opts, SendD, RecvD, St.Cg, St.Facts, HsmMemo,
+                            TagConflict);
           if (TagConflict)
             logTagConflict(SendD.Node, RecvD.Node);
           if (!M)
@@ -1952,6 +1954,8 @@ private:
   /// Static wait resolution, one entry per wait/waitall node (computed
   /// once by the Engine; see WaitResolution).
   const std::map<CfgNodeId, WaitResolution> &WaitPlans;
+  /// The run's HSM match memo (thread-safe; shared across steppers).
+  HsmMatchMemo &HsmMemo;
   /// The ordered effect log this step is accumulating.
   StepEffects Fx;
   /// Local mirror of the engine's topped-out flag for intra-step control
@@ -2033,7 +2037,8 @@ std::string nodeSignature(const Cfg &G, const LoopInfo &Loops,
 class Engine {
 public:
   Engine(const Cfg &Graph, const AnalysisOptions &Opts, StatsRegistry *Stats)
-      : Graph(Graph), Opts(Opts), Stats(Stats), Loops(Graph) {
+      : Graph(Graph), Opts(Opts), Stats(Stats), Loops(Graph),
+        HsmMemo(Stats) {
     for (const CfgNode &N : Graph.nodes())
       if (N.Kind == CfgNodeKind::Assign || N.Kind == CfgNodeKind::Recv ||
           N.Kind == CfgNodeKind::Irecv)
@@ -2142,6 +2147,11 @@ private:
   AnalysisOptions Opts;
   StatsRegistry *Stats;
   LoopInfo Loops;
+  /// The run's HSM match memo, shared by every Stepper (pool workers
+  /// included; it locks internally). A cache: it changes no result, so
+  /// const steps may use it. Freed with the engine, so nothing it holds
+  /// outlives the run.
+  mutable HsmMatchMemo HsmMemo;
   std::set<std::string> AssignedVars;
   /// Static wait resolution, one entry per wait/waitall node.
   std::map<CfgNodeId, WaitResolution> WaitPlans;
@@ -2556,7 +2566,7 @@ void Engine::commitEffects(StepEffects &Fx) {
 /// Runs one Stepper over \p Cur, capturing any exception into the log so
 /// the mutations that preceded it still commit in order.
 StepEffects Engine::computeStep(const PcfgState &Cur, unsigned TraceId) const {
-  Stepper S(Graph, Opts, Loops, AssignedVars, WaitPlans);
+  Stepper S(Graph, Opts, Loops, AssignedVars, WaitPlans, HsmMemo);
   StepEffects Fx;
   try {
     S.step(Cur, TraceId);
@@ -2738,7 +2748,7 @@ void Engine::explore() {
     Init.Facts.addRewrite(Name, Poly(Value));
   }
   {
-    Stepper S(Graph, Opts, Loops, AssignedVars, WaitPlans);
+    Stepper S(Graph, Opts, Loops, AssignedVars, WaitPlans, HsmMemo);
     StepEffects Fx;
     try {
       S.seed(std::move(Init));

@@ -104,7 +104,8 @@ std::optional<MatchResult> linearMatch(const CommDesc &Send,
 std::optional<MatchResult> hsmMatch(const CommDesc &Send,
                                     const CommDesc &Recv,
                                     const ConstraintGraph &Cg,
-                                    const FactEnv &Facts) {
+                                    const FactEnv &Facts,
+                                    HsmMatchMemo &Memo) {
   if (!Send.PartnerAst || !Recv.PartnerAst)
     return std::nullopt;
   if (!Send.PartnerGlobalsOnly || !Recv.PartnerGlobalsOnly)
@@ -119,8 +120,8 @@ std::optional<MatchResult> hsmMatch(const CommDesc &Send,
   Poly SCount = SHi->minus(*SLo).plus(Poly(1));
   Poly RCount = RHi->minus(*RLo).plus(Poly(1));
 
-  if (!hsmFullSetMatch(Send.PartnerAst, *SLo, SCount, Recv.PartnerAst, *RLo,
-                       RCount, Facts))
+  if (!Memo.match(Send.PartnerAst, std::move(*SLo), std::move(SCount),
+                  Recv.PartnerAst, std::move(*RLo), std::move(RCount), Facts))
     return std::nullopt;
 
   MatchResult R;
@@ -151,6 +152,7 @@ std::optional<MatchResult> csdf::tryMatch(const AnalysisOptions &Opts,
                                           const CommDesc &Recv,
                                           const ConstraintGraph &Cg,
                                           const FactEnv &Facts,
+                                          HsmMatchMemo &HsmMemo,
                                           bool &TagConflict) {
   TagConflict = false;
   budgetCheckpoint();
@@ -176,7 +178,7 @@ std::optional<MatchResult> csdf::tryMatch(const AnalysisOptions &Opts,
     if (auto R = linearMatch(Send, Recv, Cg))
       return R;
   if (Opts.UseHsmMatcher)
-    if (auto R = hsmMatch(Send, Recv, Cg, Facts))
+    if (auto R = hsmMatch(Send, Recv, Cg, Facts, HsmMemo))
       return R;
   return std::nullopt;
 }

@@ -58,14 +58,15 @@ struct MatchResult {
 };
 
 /// Attempts to match \p Send against \p Recv under \p Cg and \p Facts.
-/// On a provable tag conflict sets \p TagConflict (no match possible on
-/// this channel, a bug indicator). Returns nullopt when no exact match can
-/// be proven.
+/// HSM proofs go through \p HsmMemo, the run's memo. On a provable tag
+/// conflict sets \p TagConflict (no match possible on this channel, a bug
+/// indicator). Returns nullopt when no exact match can be proven.
 std::optional<MatchResult> tryMatch(const AnalysisOptions &Opts,
                                     const CommDesc &Send,
                                     const CommDesc &Recv,
                                     const ConstraintGraph &Cg,
-                                    const FactEnv &Facts, bool &TagConflict);
+                                    const FactEnv &Facts,
+                                    HsmMatchMemo &HsmMemo, bool &TagConflict);
 
 /// Converts a symbolic bound to a Poly usable by the HSM strategy: a form
 /// whose variable is a global parameter (no namespace dot) or a constant.

@@ -6,6 +6,8 @@
 
 #include "support/Budget.h"
 
+#include <algorithm>
+
 using namespace csdf;
 
 const char *csdf::budgetKindName(BudgetKind Kind) {
@@ -48,13 +50,15 @@ std::uint64_t AnalysisBudget::elapsedMs() const {
           .count());
 }
 
-void AnalysisBudget::checkDeadline() {
+void AnalysisBudget::checkDeadline(std::uint64_t Polls) {
   if (DeadlineMs == 0 || !Started)
     return;
   // Clock-read sampling is a heuristic: under relaxed contention two
   // threads may both reset the counter or both skip a read, which only
   // shifts when the next sample happens.
-  if (PollsSinceClockRead.fetch_add(1, std::memory_order_relaxed) + 1 <
+  std::uint32_t Add = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(Polls, ClockSampleInterval));
+  if (PollsSinceClockRead.fetch_add(Add, std::memory_order_relaxed) + Add <
       ClockSampleInterval)
     return;
   PollsSinceClockRead.store(0, std::memory_order_relaxed);
@@ -77,14 +81,24 @@ void AnalysisBudget::checkpoint() {
             " MB live)");
 }
 
-void AnalysisBudget::proverStep() {
-  std::uint64_t Used =
-      ProverSteps.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (MaxProverSteps != 0 && Used > MaxProverSteps)
+void AnalysisBudget::proverSteps(std::uint64_t N) {
+  if (N == 0)
+    return;
+  // Take all N steps, or only up to the one that trips (the counter then
+  // reads exactly what N single steps would have left behind).
+  std::uint64_t Old = ProverSteps.load(std::memory_order_relaxed);
+  std::uint64_t Take;
+  do {
+    Take = N;
+    if (MaxProverSteps != 0 && Old + N > MaxProverSteps)
+      Take = Old >= MaxProverSteps ? 1 : MaxProverSteps + 1 - Old;
+  } while (!ProverSteps.compare_exchange_weak(Old, Old + Take,
+                                              std::memory_order_relaxed));
+  if (MaxProverSteps != 0 && Old + Take > MaxProverSteps)
     throw BudgetExceeded(BudgetKind::ProverSteps,
                          "HSM prover search-step budget of " +
                              std::to_string(MaxProverSteps) + " exceeded");
-  checkDeadline();
+  checkDeadline(N);
 }
 
 void AnalysisBudget::accountBytes(std::int64_t Delta) {
@@ -113,6 +127,7 @@ void AnalysisBudget::accountBytes(std::int64_t Delta) {
 
 namespace {
 thread_local AnalysisBudget *CurrentBudget = nullptr;
+thread_local ProverStepTally *CurrentTally = nullptr;
 } // namespace
 
 AnalysisBudget *csdf::currentBudget() { return CurrentBudget; }
@@ -122,3 +137,15 @@ BudgetScope::BudgetScope(AnalysisBudget *Budget) : Previous(CurrentBudget) {
 }
 
 BudgetScope::~BudgetScope() { CurrentBudget = Previous; }
+
+ProverStepTally *csdf::currentProverStepTally() { return CurrentTally; }
+
+ProverStepTally::ProverStepTally() : Previous(CurrentTally) {
+  CurrentTally = this;
+}
+
+ProverStepTally::~ProverStepTally() {
+  CurrentTally = Previous;
+  if (Previous)
+    Previous->count(Steps);
+}

@@ -105,7 +105,12 @@ public:
 
   /// Counts one HSM prover search step; throws BudgetExceeded(ProverSteps)
   /// past MaxProverSteps and samples the deadline like checkpoint().
-  void proverStep();
+  void proverStep() { proverSteps(1); }
+
+  /// Counts \p N prover steps at once, tripping exactly where \p N
+  /// proverStep() calls would: the counter stops at the failing step and
+  /// the message is the same. Replays a memoized proof's cost.
+  void proverSteps(std::uint64_t N);
 
   /// Accounts a change in live DBM bytes (positive on allocation/growth,
   /// negative on release). Growth past MaxMemoryMb does not throw here —
@@ -129,7 +134,9 @@ public:
   std::uint64_t elapsedMs() const;
 
 private:
-  void checkDeadline();
+  /// Counts \p Polls deadline polls; reads the clock once the sampling
+  /// interval is used up.
+  void checkDeadline(std::uint64_t Polls = 1);
 
   /// How many checkpoint()/proverStep() calls share one clock read.
   static constexpr std::uint32_t ClockSampleInterval = 256;
@@ -174,11 +181,41 @@ inline void budgetCheckpoint() {
     B->checkpoint();
 }
 
-/// Counts a prover search step against the thread's current budget, if any.
-inline void budgetProverStep() {
+/// Counts the prover steps taken on the current thread while it is in
+/// scope, whatever budget (if any) they are charged to. A memo uses it to
+/// learn what one uncached proof cost: the budget's own counter is shared
+/// by every thread of a parallel drain, so it cannot tell. Tallies nest;
+/// an inner tally's steps also count towards the enclosing one.
+class ProverStepTally {
+public:
+  ProverStepTally();
+  ~ProverStepTally();
+
+  ProverStepTally(const ProverStepTally &) = delete;
+  ProverStepTally &operator=(const ProverStepTally &) = delete;
+
+  std::uint64_t steps() const { return Steps; }
+  void count(std::uint64_t N) { Steps += N; }
+
+private:
+  ProverStepTally *Previous;
+  std::uint64_t Steps = 0;
+};
+
+/// The innermost tally installed on this thread, or null.
+ProverStepTally *currentProverStepTally();
+
+/// Counts \p N prover search steps on the thread's tally and against its
+/// current budget, if any.
+inline void budgetProverSteps(std::uint64_t N) {
+  if (ProverStepTally *T = currentProverStepTally())
+    T->count(N);
   if (AnalysisBudget *B = currentBudget())
-    B->proverStep();
+    B->proverSteps(N);
 }
+
+/// Counts one prover search step (see budgetProverSteps).
+inline void budgetProverStep() { budgetProverSteps(1); }
 
 } // namespace csdf
 

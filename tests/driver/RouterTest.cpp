@@ -302,6 +302,35 @@ TEST(RouterTest, FailsOverPastAnOverloadedShard) {
   EXPECT_EQ(Router.healthyCount(), 2u);
 }
 
+TEST(RouterTest, ProbeDemotedPrimaryStillCountsAsFailover) {
+  // The health probe demotes the primary before any request reaches it,
+  // so no forward ever fails; the reroute to the successor is still a
+  // failover.
+  StubShard Primary(shardPath("pa"), StubShard::Mode::Ok);
+  StubShard Successor(shardPath("pb"), StubShard::Mode::Ok);
+  ASSERT_TRUE(Primary.start() && Successor.start());
+  RouterOptions Opts = optionsFor({Primary.Path, Successor.Path});
+  RouterServer Router(Opts);
+  Router.setHealthy(Primary.Path, false); // what a failed probe does
+
+  std::string Line = requestOwnedBy(Opts, Primary.Path);
+  bool Shutdown = false;
+  JsonValue V = parsed(Router.handleLine(Line, Shutdown));
+
+  EXPECT_TRUE(V.get("ok")->asBool());
+  EXPECT_EQ(V.get("shard")->asString(), Successor.Path);
+  EXPECT_TRUE(Primary.received().empty());
+  RouterStats Stats = Router.statsSnapshot();
+  EXPECT_EQ(Stats.Forwarded, 1u);
+  EXPECT_EQ(Stats.Failovers, 1u);
+
+  // A request the successor owns is no failover.
+  JsonValue Own =
+      parsed(Router.handleLine(requestOwnedBy(Opts, Successor.Path), Shutdown));
+  EXPECT_EQ(Own.get("shard")->asString(), Successor.Path);
+  EXPECT_EQ(Router.statsSnapshot().Failovers, 1u);
+}
+
 TEST(RouterTest, AllShardsDownIsRetryableUnavailable) {
   RouterOptions Opts =
       optionsFor({shardPath("na"), shardPath("nb")}); // no listeners

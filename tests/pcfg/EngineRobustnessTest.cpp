@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 using namespace csdf;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -304,6 +310,181 @@ TEST(EngineRobustnessTest, BudgetedRunMatchesUnbudgetedWhenNothingTrips) {
     EXPECT_EQ(Plain.StatesExplored, Budgeted.StatesExplored) << Name;
     EXPECT_EQ(Plain.Outcome.str(), Budgeted.Outcome.str()) << Name;
   }
+}
+
+namespace {
+
+/// What one cartesian run reports: prover steps charged, matches, states
+/// and the outcome (plus the offending configuration when degraded).
+struct RunCounts {
+  std::uint64_t Limit; ///< MaxProverSteps (0 = unlimited).
+  std::uint64_t ProverSteps;
+  std::size_t Matches;
+  unsigned StatesExplored;
+  std::string Outcome;
+  std::string Configuration;
+
+  bool operator==(const RunCounts &O) const {
+    return Limit == O.Limit && ProverSteps == O.ProverSteps &&
+           Matches == O.Matches && StatesExplored == O.StatesExplored &&
+           Outcome == O.Outcome && Configuration == O.Configuration;
+  }
+};
+
+std::ostream &operator<<(std::ostream &OS, const RunCounts &C) {
+  return OS << "{" << C.Limit << ", " << C.ProverSteps << ", " << C.Matches
+            << ", " << C.StatesExplored << ", \"" << C.Outcome << "\", \""
+            << C.Configuration << "\"}";
+}
+
+RunCounts countRun(const std::string &Source,
+                   std::uint64_t MaxProverSteps = 0) {
+  Built B = buildFrom(Source);
+  AnalysisBudget Budget; // unlimited unless MaxProverSteps: accounting only
+  Budget.MaxProverSteps = MaxProverSteps;
+  AnalysisOptions Opts = AnalysisOptions::cartesian();
+  Opts.Budget = &Budget;
+  AnalysisResult R = analyzeProgram(B.Graph, Opts);
+  return {MaxProverSteps,     Budget.proverStepsUsed(),
+          R.Matches.size(),   R.StatesExplored,
+          R.Outcome.str(),    R.Outcome.Configuration};
+}
+
+std::string readFile(const fs::path &Path) {
+  std::ifstream In(Path);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+} // namespace
+
+TEST(EngineRobustnessTest, ProverStepsMatchesAndOutcomesArePinned) {
+  // Recorded before the HSM match memo existed: a memo hit must charge
+  // exactly the steps the proof it replays took, and change nothing else.
+  // Columns: name, prover steps, matches, states explored, outcome.
+  struct Row {
+    const char *Name;
+    std::uint64_t ProverSteps;
+    std::size_t Matches;
+    unsigned StatesExplored;
+    const char *Outcome;
+  };
+  static const Row Expected[] = {
+      {"figure2-exchange", 0, 2, 6, "complete"},
+      {"gather-to-root", 0, 2, 8, "complete"},
+      {"fan-out-broadcast", 0, 5, 21, "complete"},
+      {"exchange-with-root", 0, 5, 35, "complete"},
+      {"transpose-square", 3, 1, 2, "complete"},
+      {"transpose-rect", 6, 1, 2, "complete"},
+      {"nascg-transpose", 9, 2, 6, "complete"},
+      {"neighbor-shift", 2, 2, 7, "degraded-to-top"},
+      {"neighbor-shift-left", 0, 2, 8, "degraded-to-top"},
+      {"neighbor-exchange-1d", 4, 2, 9, "degraded-to-top"},
+      {"pairwise-exchange", 0, 0, 1, "degraded-to-top"},
+      {"vshift-2d", 0, 0, 1, "degraded-to-top"},
+      {"broadcast-then-gather", 0, 16, 52, "degraded-to-top(in-flight)"},
+      {"no-comm", 0, 0, 8, "complete"},
+      {"nonblocking-ping", 0, 1, 5, "complete"},
+      {"isend-fanout", 0, 2, 5, "complete"},
+      {"wildcard-unique-sender", 0, 1, 5, "complete"},
+      {"any_source_clean.mpl", 0, 1, 5, "complete"},
+      {"any_source_race.mpl", 0, 0, 4, "degraded-to-top"},
+      {"broadcast.mpl", 0, 5, 33, "complete"},
+      {"dead_store.mpl", 0, 1, 4, "complete"},
+      {"leak.mpl", 0, 1, 3, "complete"},
+      {"nb_buffer_race.mpl", 0, 1, 4, "complete"},
+      {"nb_buffer_race_clean.mpl", 0, 1, 5, "complete"},
+      {"nb_double_wait.mpl", 0, 1, 5, "degraded-to-top"},
+      {"nb_isend_waitall.mpl", 0, 2, 5, "complete"},
+      {"nb_pingpong.mpl", 0, 1, 5, "complete"},
+      {"nb_request_leak.mpl", 0, 0, 3, "complete"},
+      {"nb_wait_uninit.mpl", 0, 0, 2, "degraded-to-top"},
+      {"oob_partner.mpl", 0, 0, 3, "degraded-to-top"},
+      {"proc_pipeline.mpl", 0, 5, 31, "complete"},
+      {"self_send.mpl", 0, 1, 3, "complete"},
+      {"shift.mpl", 2, 2, 7, "degraded-to-top"},
+      {"stress_phases.mpl", 1800, 600, 1200, "complete"},
+      {"tag_mismatch.mpl", 0, 0, 3, "degraded-to-top"},
+      {"transpose.mpl", 3, 1, 2, "complete"},
+      {"unreachable.mpl", 0, 0, 11, "complete"},
+      {"use_before_init.mpl", 0, 0, 2, "complete"},
+  };
+
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const auto &[Name, Source] : corpus::allPatterns())
+    Programs.emplace_back(Name, Source);
+  std::vector<fs::path> Files;
+  for (const fs::directory_entry &E :
+       fs::directory_iterator(CSDF_EXAMPLES_DIR))
+    if (E.path().extension() == ".mpl")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  for (const fs::path &File : Files)
+    Programs.emplace_back(File.filename().string(), readFile(File));
+
+  ASSERT_EQ(Programs.size(), std::size(Expected));
+  for (std::size_t I = 0; I < Programs.size(); ++I) {
+    const Row &Want = Expected[I];
+    ASSERT_EQ(Programs[I].first, Want.Name);
+    RunCounts Got = countRun(Programs[I].second);
+    EXPECT_EQ(Got.ProverSteps, Want.ProverSteps) << Want.Name;
+    EXPECT_EQ(Got.Matches, Want.Matches) << Want.Name;
+    EXPECT_EQ(Got.StatesExplored, Want.StatesExplored) << Want.Name;
+    EXPECT_EQ(Got.Outcome, Want.Outcome) << Want.Name;
+  }
+}
+
+TEST(EngineRobustnessTest, ProverStepBudgetTripsAtTheSameStep) {
+  // manyPhases(8) proves the same transpose in all eight phases (three
+  // prover steps each); seven of those proofs are memo hits. Every limit
+  // must trip at the same step, in the same configuration, with the same
+  // partial results as the uncached prover (recorded before the memo).
+  static const RunCounts Expected[] = {
+      {1, 2, 0, 2, "degraded-to-top(prover-steps)", "n4;|s3;"},
+      {2, 3, 0, 2, "degraded-to-top(prover-steps)", "n4;|s3;"},
+      {3, 4, 1, 4, "degraded-to-top(prover-steps)", "n7;|s6;"},
+      {4, 5, 1, 4, "degraded-to-top(prover-steps)", "n7;|s6;"},
+      {5, 6, 1, 4, "degraded-to-top(prover-steps)", "n7;|s6;"},
+      {6, 7, 2, 6, "degraded-to-top(prover-steps)", "n10;|s9;"},
+      {7, 8, 2, 6, "degraded-to-top(prover-steps)", "n10;|s9;"},
+      {8, 9, 2, 6, "degraded-to-top(prover-steps)", "n10;|s9;"},
+      {9, 10, 3, 8, "degraded-to-top(prover-steps)", "n13;|s12;"},
+      {10, 11, 3, 8, "degraded-to-top(prover-steps)", "n13;|s12;"},
+      {11, 12, 3, 8, "degraded-to-top(prover-steps)", "n13;|s12;"},
+      {12, 13, 4, 10, "degraded-to-top(prover-steps)", "n16;|s15;"},
+      {13, 14, 4, 10, "degraded-to-top(prover-steps)", "n16;|s15;"},
+      {14, 15, 4, 10, "degraded-to-top(prover-steps)", "n16;|s15;"},
+      {15, 16, 5, 12, "degraded-to-top(prover-steps)", "n19;|s18;"},
+      {16, 17, 5, 12, "degraded-to-top(prover-steps)", "n19;|s18;"},
+      {17, 18, 5, 12, "degraded-to-top(prover-steps)", "n19;|s18;"},
+      {18, 19, 6, 14, "degraded-to-top(prover-steps)", "n22;|s21;"},
+      {19, 20, 6, 14, "degraded-to-top(prover-steps)", "n22;|s21;"},
+      {20, 21, 6, 14, "degraded-to-top(prover-steps)", "n22;|s21;"},
+      {21, 22, 7, 16, "degraded-to-top(prover-steps)", "n25;|s24;"},
+      {22, 23, 7, 16, "degraded-to-top(prover-steps)", "n25;|s24;"},
+      {23, 24, 7, 16, "degraded-to-top(prover-steps)", "n25;|s24;"},
+      {24, 24, 8, 16, "complete", ""},
+      {25, 24, 8, 16, "complete", ""},
+      {26, 24, 8, 16, "complete", ""},
+  };
+  std::string Source = manyPhases(8);
+  for (const RunCounts &Want : Expected)
+    EXPECT_EQ(countRun(Source, Want.Limit), Want);
+}
+
+TEST(EngineRobustnessTest, HsmMemoProvesEachDistinctQuestionOnce) {
+  // stress_phases.mpl writes one transpose 600 times, each phase with its
+  // own AST nodes: one question, proven once and replayed 599 times.
+  Built B = buildFrom(readFile(fs::path(CSDF_EXAMPLES_DIR) /
+                               "stress_phases.mpl"));
+  StatsRegistry Stats;
+  AnalysisResult R =
+      analyzeProgram(B.Graph, AnalysisOptions::cartesian(), &Stats);
+  ASSERT_TRUE(R.Converged);
+  EXPECT_EQ(R.Matches.size(), 600u);
+  EXPECT_EQ(Stats.counter("hsm.match.memo.misses"), 1);
+  EXPECT_EQ(Stats.counter("hsm.match.memo.hits"), 599);
 }
 
 TEST(EngineRobustnessTest, SelfSendSelfRecvViaHsm) {

@@ -46,6 +46,7 @@ protected:
   std::vector<Program> Programs;
   ConstraintGraph Cg;
   FactEnv Facts;
+  HsmMatchMemo Memo;
   AnalysisOptions Opts;
   bool TagConflict = false;
 };
@@ -54,7 +55,7 @@ TEST_F(MatcherTest, ShiftPairFullMatch) {
   // Senders [0..np-2] -> id+1; receivers [1..np-1] <- id-1.
   CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr("np", -2)));
   CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr("np", -1)));
-  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict);
+  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_TRUE(M->SenderFull);
   EXPECT_TRUE(M->ReceiverFull);
@@ -63,7 +64,7 @@ TEST_F(MatcherTest, ShiftPairFullMatch) {
 TEST_F(MatcherTest, ShiftPairWrongOffsetsNoMatch) {
   CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr("np", -2)));
   CommDesc Recv = idShift(-2, ProcRange(LinearExpr(2), LinearExpr("np", -1)));
-  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict));
+  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
 }
 
 TEST_F(MatcherTest, ShiftPairPartialReceivers) {
@@ -71,7 +72,7 @@ TEST_F(MatcherTest, ShiftPairPartialReceivers) {
   // can match; the rest stays blocked.
   CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr(0)));
   CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr("np", -1)));
-  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict);
+  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_TRUE(M->SenderFull);
   EXPECT_FALSE(M->ReceiverFull);
@@ -89,7 +90,7 @@ TEST_F(MatcherTest, UniformDestPinsSingleSender) {
                           ProcRange(LinearExpr(0), LinearExpr(0)));
   // Receiver side: the root's claimed source is i; the matched sender is
   // {i}, split out of the worker set.
-  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict);
+  auto M = tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_FALSE(M->SenderFull);
   EXPECT_TRUE(M->ReceiverFull);
@@ -105,7 +106,7 @@ TEST_F(MatcherTest, UniformDestWrongClaimedSourceNoMatch) {
       uniform(LinearExpr(0), ProcRange(LinearExpr(3), LinearExpr(3)));
   CommDesc Recv = uniform(LinearExpr("p0.i", 0),
                           ProcRange(LinearExpr(0), LinearExpr(0)));
-  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict));
+  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
 }
 
 TEST_F(MatcherTest, TagMismatchIsFlagged) {
@@ -113,7 +114,7 @@ TEST_F(MatcherTest, TagMismatchIsFlagged) {
   Send.Tag = LinearExpr(1);
   CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr(1)));
   Recv.Tag = LinearExpr(2);
-  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict));
+  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
   EXPECT_TRUE(TagConflict);
 }
 
@@ -121,7 +122,7 @@ TEST_F(MatcherTest, UnknownTagNoMatchNoConflict) {
   CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr(0)));
   Send.Tag = std::nullopt;
   CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr(1)));
-  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, TagConflict));
+  EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
   EXPECT_FALSE(TagConflict);
 }
 
@@ -135,7 +136,7 @@ TEST_F(MatcherTest, HsmStrategyMatchesTranspose) {
   Send.PartnerGlobalsOnly = true;
   Send.Tag = LinearExpr(0);
   CommDesc Recv = Send;
-  auto M = tryMatch(HsmOpts, Send, Recv, Cg, Facts, TagConflict);
+  auto M = tryMatch(HsmOpts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_TRUE(M->SenderFull);
   EXPECT_TRUE(M->ReceiverFull);
@@ -150,7 +151,7 @@ TEST_F(MatcherTest, HsmStrategyRequiresGlobalsOnly) {
   Send.PartnerGlobalsOnly = false; // e.g. nrows were assigned somewhere.
   Send.Tag = LinearExpr(0);
   CommDesc Recv = Send;
-  EXPECT_FALSE(tryMatch(HsmOpts, Send, Recv, Cg, Facts, TagConflict));
+  EXPECT_FALSE(tryMatch(HsmOpts, Send, Recv, Cg, Facts, Memo, TagConflict));
 }
 
 TEST_F(MatcherTest, BoundToGlobalPolyPrefersGlobals) {

@@ -97,6 +97,55 @@ TEST(BudgetTest, ProverStepBudgetTrips) {
   }
 }
 
+TEST(BudgetTest, BulkProverStepsTripLikeSingleSteps) {
+  // For every start point and batch size, proverSteps(N) throws iff N
+  // single steps would, with the same message, and leaves the counter
+  // where the single steps would have.
+  for (std::uint64_t Start = 0; Start <= 12; ++Start) {
+    for (std::uint64_t N = 0; N <= 12; ++N) {
+      AnalysisBudget Single, Bulk;
+      Single.MaxProverSteps = Bulk.MaxProverSteps = 10;
+      Single.begin();
+      Bulk.begin();
+      std::string SingleError, BulkError;
+      try {
+        for (std::uint64_t I = 0; I < Start + N; ++I)
+          Single.proverStep();
+      } catch (const BudgetExceeded &E) {
+        SingleError = E.reason();
+      }
+      try {
+        for (std::uint64_t I = 0; I < Start; ++I)
+          Bulk.proverStep();
+        Bulk.proverSteps(N);
+      } catch (const BudgetExceeded &E) {
+        BulkError = E.reason();
+      }
+      EXPECT_EQ(BulkError, SingleError) << Start << "+" << N;
+      EXPECT_EQ(Bulk.proverStepsUsed(), Single.proverStepsUsed())
+          << Start << "+" << N;
+    }
+  }
+}
+
+TEST(BudgetTest, ProverStepTallyCountsWithAndWithoutBudget) {
+  ProverStepTally Outer;
+  budgetProverStep(); // no budget installed: the tally still counts
+  AnalysisBudget B;
+  B.begin();
+  BudgetScope Scope(&B);
+  {
+    ProverStepTally Inner;
+    budgetProverSteps(4);
+    EXPECT_EQ(Inner.steps(), 4u);
+    EXPECT_EQ(currentProverStepTally(), &Inner);
+  }
+  EXPECT_EQ(currentProverStepTally(), &Outer);
+  // The inner tally's steps count towards the enclosing one.
+  EXPECT_EQ(Outer.steps(), 5u);
+  EXPECT_EQ(B.proverStepsUsed(), 4u);
+}
+
 TEST(BudgetTest, ScopeInstallsAndRestores) {
   EXPECT_EQ(currentBudget(), nullptr);
   AnalysisBudget Outer, Inner;
