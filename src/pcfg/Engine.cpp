@@ -344,8 +344,8 @@ private:
 
     // Uniformity: a variable stays uniform only when uniform on both
     // sides and provably equal across the halves.
-    std::set<std::string> NonUniform = A.NonUniform;
-    NonUniform.insert(B.NonUniform.begin(), B.NonUniform.end());
+    NameSet NonUniform = A.NonUniform;
+    NonUniform.insertAll(B.NonUniform);
     std::set<std::string> VarsSeen;
     for (const std::string &Var : St.Cg.varNames()) {
       std::string PrefixA = A.Name + ".";
@@ -448,20 +448,22 @@ private:
   /// Returns the indices of the new sets, in piece order.
   std::vector<size_t> replaceSet(PcfgState &St, size_t Idx,
                                  const std::vector<SplitPiece> &Pieces) {
-    ProcSetEntry Old = St.Sets[Idx];
+    // Copy only what the loop reads: pushing pieces may reallocate Sets.
+    const std::string OldName = St.Sets[Idx].Name;
+    const NameSet OldNonUniform = St.Sets[Idx].NonUniform;
     std::vector<size_t> NewIndices;
     for (const SplitPiece &Piece : Pieces) {
       ProcSetEntry E;
       E.Name = freshSetName();
       E.Range = Piece.Range;
       E.Node = Piece.Node;
-      E.NonUniform = Old.NonUniform;
+      E.NonUniform = OldNonUniform;
       E.Range = anchorRange(St, E.Name, E.Range);
       // Copy the old set's variable valuation: at split time all pieces
       // agree with the parent exactly. The parent's `lo$`/`ub$` anchor
       // slots are per-set metadata, not program state — copying them
       // would contradict the piece's own freshly assigned anchors.
-      std::string OldPrefix = Old.Name + ".";
+      std::string OldPrefix = OldName + ".";
       for (const std::string &Var : St.Cg.varNames()) {
         if (Var.rfind(OldPrefix, 0) != 0)
           continue;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
 
 using namespace csdf;
@@ -43,7 +44,71 @@ ProcRange renameRangeNamespace(const ProcRange &R, const std::string &From,
   });
 }
 
+/// True when \p Name is \p Prefix followed by the decimal digits of \p I.
+bool isNumberedName(const std::string &Name, const std::string &Prefix,
+                    size_t I) {
+  return Name.compare(0, Prefix.size(), Prefix) == 0 &&
+         Name.compare(Prefix.size(), std::string::npos,
+                      std::to_string(I)) == 0;
+}
+
 } // namespace
+
+const std::vector<std::string> &NameSet::names() const {
+  static const std::vector<std::string> Empty;
+  return Names ? *Names : Empty;
+}
+
+void NameSet::insert(const std::string &Name) {
+  auto It = std::lower_bound(begin(), end(), Name);
+  if (It != end() && *It == Name)
+    return;
+  if (Names && Names.use_count() == 1) {
+    Names->insert(Names->begin() + (It - begin()), Name);
+    return;
+  }
+  auto Fresh = std::make_shared<std::vector<std::string>>();
+  Fresh->reserve(size() + 1);
+  Fresh->insert(Fresh->end(), begin(), It);
+  Fresh->push_back(Name);
+  Fresh->insert(Fresh->end(), It, end());
+  Names = std::move(Fresh);
+}
+
+void NameSet::erase(const std::string &Name) {
+  auto It = std::lower_bound(begin(), end(), Name);
+  if (It == end() || *It != Name)
+    return;
+  if (size() == 1) {
+    Names.reset();
+    return;
+  }
+  if (Names.use_count() == 1) {
+    Names->erase(Names->begin() + (It - begin()));
+    return;
+  }
+  auto Fresh = std::make_shared<std::vector<std::string>>();
+  Fresh->reserve(size() - 1);
+  Fresh->insert(Fresh->end(), begin(), It);
+  Fresh->insert(Fresh->end(), It + 1, end());
+  Names = std::move(Fresh);
+}
+
+void NameSet::insertAll(const NameSet &Other) {
+  if (Other.empty() || sharesStorageWith(Other))
+    return;
+  if (empty()) {
+    Names = Other.Names;
+    return;
+  }
+  if (std::includes(begin(), end(), Other.begin(), Other.end()))
+    return;
+  auto Fresh = std::make_shared<std::vector<std::string>>();
+  Fresh->reserve(size() + Other.size());
+  std::set_union(begin(), end(), Other.begin(), Other.end(),
+                 std::back_inserter(*Fresh));
+  Names = std::move(Fresh);
+}
 
 void PcfgState::renameNamespace(const std::string &FromNs,
                                 const std::string &ToNs) {
@@ -102,16 +167,24 @@ void PcfgState::canonicalize() {
   Sets = std::move(NewSets);
 
   // Renumber namespaces to p0, p1, ... via a temporary phase to avoid
-  // collisions with existing names.
-  for (size_t I = 0; I < Sets.size(); ++I)
-    renameSet(I, "tmp$" + std::to_string(I));
-  for (size_t I = 0; I < Sets.size(); ++I)
-    renameSet(I, "p" + std::to_string(I));
+  // collisions with existing names. Sets already named p0, p1, ... in
+  // order (the common case on resubmission) skip both passes: the round
+  // trip would leave every name where it was.
+  bool SetsCanonical = true;
+  for (size_t I = 0; I < Sets.size() && SetsCanonical; ++I)
+    SetsCanonical = isNumberedName(Sets[I].Name, "p", I);
+  if (!SetsCanonical) {
+    for (size_t I = 0; I < Sets.size(); ++I)
+      renameSet(I, "tmp$" + std::to_string(I));
+    for (size_t I = 0; I < Sets.size(); ++I)
+      renameSet(I, "p" + std::to_string(I));
+  }
 
   // Renumber pending-send freeze namespaces by FIFO position so repeat
   // visits to a configuration produce identical variable names. Pieces of
   // one partially consumed send share a namespace, so rename per distinct
-  // namespace in first-appearance order.
+  // namespace in first-appearance order, skipping the renames when the
+  // namespaces already read q0, q1, ... in that order.
   std::stable_sort(InFlight.begin(), InFlight.end(),
                    [](const PendingSend &A, const PendingSend &B) {
                      return A.Seq < B.Seq;
@@ -121,20 +194,25 @@ void PcfgState::canonicalize() {
     if (std::find(DistinctNs.begin(), DistinctNs.end(), P.FreezeNs) ==
         DistinctNs.end())
       DistinctNs.push_back(P.FreezeNs);
-  for (size_t I = 0; I < DistinctNs.size(); ++I) {
-    std::string Tmp = "tmpq$" + std::to_string(I);
-    renameNamespace(DistinctNs[I], Tmp);
-    for (PendingSend &P : InFlight)
-      if (P.FreezeNs == DistinctNs[I])
-        P.FreezeNs = Tmp;
-  }
-  for (size_t I = 0; I < DistinctNs.size(); ++I) {
-    std::string Tmp = "tmpq$" + std::to_string(I);
-    std::string Final = "q" + std::to_string(I);
-    renameNamespace(Tmp, Final);
-    for (PendingSend &P : InFlight)
-      if (P.FreezeNs == Tmp)
-        P.FreezeNs = Final;
+  bool FreezeCanonical = true;
+  for (size_t I = 0; I < DistinctNs.size() && FreezeCanonical; ++I)
+    FreezeCanonical = isNumberedName(DistinctNs[I], "q", I);
+  if (!FreezeCanonical) {
+    for (size_t I = 0; I < DistinctNs.size(); ++I) {
+      std::string Tmp = "tmpq$" + std::to_string(I);
+      renameNamespace(DistinctNs[I], Tmp);
+      for (PendingSend &P : InFlight)
+        if (P.FreezeNs == DistinctNs[I])
+          P.FreezeNs = Tmp;
+    }
+    for (size_t I = 0; I < DistinctNs.size(); ++I) {
+      std::string Tmp = "tmpq$" + std::to_string(I);
+      std::string Final = "q" + std::to_string(I);
+      renameNamespace(Tmp, Final);
+      for (PendingSend &P : InFlight)
+        if (P.FreezeNs == Tmp)
+          P.FreezeNs = Final;
+    }
   }
   for (size_t I = 0; I < InFlight.size(); ++I)
     InFlight[I].Seq = static_cast<unsigned>(I);
@@ -259,8 +337,7 @@ bool combineStates(PcfgState &Acc, const PcfgState &New, bool Widen) {
   for (size_t I = 0; I < Acc.Sets.size(); ++I) {
     Acc.Sets[I].Range =
         reanchorRange(Acc.Cg, Acc.Sets[I].Name, Ranges[I]);
-    Acc.Sets[I].NonUniform.insert(New.Sets[I].NonUniform.begin(),
-                                  New.Sets[I].NonUniform.end());
+    Acc.Sets[I].NonUniform.insertAll(New.Sets[I].NonUniform);
   }
   for (size_t I = 0; I < Acc.InFlight.size(); ++I) {
     Acc.InFlight[I].Senders =

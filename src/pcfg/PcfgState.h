@@ -32,12 +32,53 @@
 #include "pcfg/AnalysisOptions.h"
 #include "procset/ProcSet.h"
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace csdf {
+
+/// A copy-on-write sorted set of variable names. Copying one is a
+/// reference-count bump; the flat, sorted name vector behind it is cloned
+/// only when a change (an insert of an absent name, an erase of a present
+/// one) hits storage another copy still shares. Iteration is in ascending
+/// name order, the order of `std::set<std::string>`. Like CowDbm, a value
+/// is mutated in place only through a unique handle, so copies may cross
+/// threads while each thread changes only its own copy.
+class NameSet {
+public:
+  using const_iterator = std::vector<std::string>::const_iterator;
+
+  std::size_t count(const std::string &Name) const {
+    return std::binary_search(begin(), end(), Name) ? 1 : 0;
+  }
+  bool empty() const { return !Names; }
+  std::size_t size() const { return Names ? Names->size() : 0; }
+  const_iterator begin() const { return names().begin(); }
+  const_iterator end() const { return names().end(); }
+
+  /// Adds \p Name; a no-op (and no clone) when it is present.
+  void insert(const std::string &Name);
+  /// Removes \p Name; a no-op (and no clone) when it is absent.
+  void erase(const std::string &Name);
+  /// Adds every name of \p Other; shares \p Other's storage when this set
+  /// is empty, and clones nothing when \p Other adds no name.
+  void insertAll(const NameSet &Other);
+
+  /// True when both sets read one stored vector.
+  bool sharesStorageWith(const NameSet &O) const {
+    return Names && Names == O.Names;
+  }
+
+private:
+  const std::vector<std::string> &names() const;
+
+  /// Null for the empty set.
+  std::shared_ptr<std::vector<std::string>> Names;
+};
 
 /// One process set inside a state.
 struct ProcSetEntry {
@@ -49,7 +90,7 @@ struct ProcSetEntry {
   CfgNodeId Node = 0;
   /// Variables whose value may differ between processes of this set;
   /// branching on them with a non-singleton range is not exact.
-  std::set<std::string> NonUniform;
+  NameSet NonUniform;
 };
 
 /// A buffered (emitted but unmatched) send. Expressions that could change

@@ -70,6 +70,138 @@ TEST(PcfgStateTest, CanonicalizeRenumbersPendingNamespaces) {
             LinearExpr("q0.lo", 0));
 }
 
+/// A CFG with \p N plain nodes, enough for PcfgState::str().
+Cfg skipCfg(unsigned N) {
+  Cfg G;
+  for (unsigned I = 0; I < N; ++I)
+    G.addNode(CfgNodeKind::Skip);
+  return G;
+}
+
+/// A pending send whose senders [Lo..Hi] are frozen into slots of \p Ns
+/// named after \p Piece, so pieces sharing a namespace keep apart.
+PendingSend makePending(CfgNodeId Node, unsigned Seq, const std::string &Ns,
+                        int Piece, std::int64_t Lo, std::int64_t Hi,
+                        PcfgState &St) {
+  std::string LoVar = Ns + ".lo" + std::to_string(Piece);
+  std::string HiVar = Ns + ".hi" + std::to_string(Piece);
+  PendingSend P;
+  P.SendNode = Node;
+  P.Seq = Seq;
+  P.FreezeNs = Ns;
+  P.Senders = ProcRange(LinearExpr(LoVar, 0), LinearExpr(HiVar, 0));
+  St.Cg.assign(LoVar, LinearExpr(Lo));
+  St.Cg.assign(HiVar, LinearExpr(Hi));
+  return P;
+}
+
+/// Sets out of canonical order, all named `p<k>` and one of them squatting
+/// on a name another must take, and freeze namespaces out of FIFO order
+/// with one shared by two pieces of a partially consumed send.
+PcfgState permutedState() {
+  PcfgState St;
+  St.Sets.push_back(makeSet("p1", ProcRange(LinearExpr(0), LinearExpr(0)), 3));
+  St.Sets.push_back(makeSet("p7", ProcRange(LinearExpr(0), LinearExpr(3)), 1));
+  St.Sets.push_back(makeSet(
+      "p0", ProcRange(LinearExpr("p0.lo$", 0), LinearExpr("np", -1)), 3));
+  St.Cg.assign("p1.x", LinearExpr(5));
+  St.Cg.assign("p7.x", LinearExpr(2));
+  St.Cg.assign("p0.lo$", LinearExpr(4));
+  St.Cg.addLE(LinearExpr("p0.x", 0), LinearExpr("np", 0));
+  St.Sets[1].NonUniform.insert("y");
+  St.InFlight.push_back(makePending(6, 9, "q7", 1, 1, 1, St));
+  St.InFlight.push_back(makePending(5, 8, "q2", 0, 0, 0, St));
+  St.InFlight.push_back(makePending(6, 5, "q7", 0, 2, 3, St));
+  St.NextSeq = 10;
+  return St;
+}
+
+TEST(PcfgStateTest, CanonicalizePermutedStateRenumbersEverything) {
+  PcfgState St = permutedState();
+  St.canonicalize();
+  ASSERT_EQ(St.Sets.size(), 3u);
+  EXPECT_EQ(St.setsStr(), "p0=[0..3]@n1 p1=[0..0]@n3 p2=[p2.lo$..np-1]@n3");
+  const std::string Dump = St.str(skipCfg(8));
+  EXPECT_EQ(Dump.substr(0, Dump.find("cg: ")),
+            "p0 = [0..3] at n1:skip\n"
+            "p1 = [0..0] at n3:skip\n"
+            "p2 = [p2.lo$..np-1] at n3:skip\n"
+            "in-flight: [q0.lo0..q0.hi0] from n6:skip\n"
+            "in-flight: [q1.lo0..q1.hi0] from n5:skip\n"
+            "in-flight: [q0.lo1..q0.hi1] from n6:skip\n");
+  EXPECT_EQ(St.Cg.constValue("p0.x"), 2);
+  EXPECT_EQ(St.Cg.constValue("p1.x"), 5);
+  EXPECT_EQ(St.Cg.constValue("p2.lo$"), 4);
+  EXPECT_TRUE(St.Cg.provesLE(LinearExpr("p2.x", 0), LinearExpr("np", 0)));
+  EXPECT_EQ(St.Cg.constValue("q0.lo0"), 2);
+  EXPECT_EQ(St.Cg.constValue("q0.hi1"), 1);
+  EXPECT_FALSE(St.Cg.hasVar("p7.x"));
+  EXPECT_FALSE(St.Cg.hasVar("q7.lo0"));
+  EXPECT_EQ(St.Sets[0].NonUniform.count("y"), 1u);
+  ASSERT_EQ(St.InFlight.size(), 3u);
+  EXPECT_EQ(St.InFlight[0].FreezeNs, "q0");
+  EXPECT_EQ(St.InFlight[1].FreezeNs, "q1");
+  EXPECT_EQ(St.InFlight[2].FreezeNs, "q0");
+  for (unsigned I = 0; I < 3; ++I)
+    EXPECT_EQ(St.InFlight[I].Seq, I);
+  EXPECT_EQ(St.NextSeq, 5u); // Three pieces plus two distinct namespaces.
+}
+
+/// The canonical form of permutedState(), built directly so that no
+/// temporary namespace was ever interned into its symbol table.
+PcfgState canonicalState() {
+  PcfgState St;
+  St.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(3)), 1));
+  St.Sets.push_back(makeSet("p1", ProcRange(LinearExpr(0), LinearExpr(0)), 3));
+  St.Sets.push_back(makeSet(
+      "p2", ProcRange(LinearExpr("p2.lo$", 0), LinearExpr("np", -1)), 3));
+  St.Cg.assign("p1.x", LinearExpr(5));
+  St.Cg.assign("p0.x", LinearExpr(2));
+  St.Cg.assign("p2.lo$", LinearExpr(4));
+  St.Cg.addLE(LinearExpr("p2.x", 0), LinearExpr("np", 0));
+  St.Sets[0].NonUniform.insert("y");
+  St.InFlight.push_back(makePending(6, 0, "q0", 0, 2, 3, St));
+  St.InFlight.push_back(makePending(5, 1, "q1", 0, 0, 0, St));
+  St.InFlight.push_back(makePending(6, 2, "q0", 1, 1, 1, St));
+  St.NextSeq = 5;
+  return St;
+}
+
+/// Canonicalizes \p St and expects nothing to change: same state, same
+/// dump, same emission stamps, and no name interned.
+void expectCanonicalizeIsNoOp(PcfgState &St) {
+  Cfg G = skipCfg(8);
+  const PcfgState Copy = St;
+  const std::string Before = St.str(G);
+  const size_t Interned = St.Cg.symbols().size();
+  St.canonicalize();
+  EXPECT_TRUE(statesEqual(St, Copy));
+  EXPECT_EQ(St.str(G), Before);
+  EXPECT_EQ(St.setsStr(), Copy.setsStr());
+  EXPECT_EQ(St.NextSeq, Copy.NextSeq);
+  ASSERT_EQ(St.InFlight.size(), Copy.InFlight.size());
+  for (size_t I = 0; I < St.InFlight.size(); ++I) {
+    EXPECT_EQ(St.InFlight[I].FreezeNs, Copy.InFlight[I].FreezeNs);
+    EXPECT_EQ(St.InFlight[I].Seq, Copy.InFlight[I].Seq);
+  }
+  EXPECT_EQ(St.Cg.symbols().size(), Interned);
+}
+
+TEST(PcfgStateTest, CanonicalizingACanonicalStateIsANoOp) {
+  PcfgState St = canonicalState();
+  expectCanonicalizeIsNoOp(St);
+  for (const char *Tmp : {"tmp$0.x", "tmp$1.x", "tmp$2.lo$", "tmpq$0.lo0",
+                          "tmpq$1.hi0"})
+    EXPECT_FALSE(St.Cg.symbols().lookup(Tmp).has_value()) << Tmp;
+
+  // The same holds once a permuted state has been canonicalized.
+  PcfgState Permuted = permutedState();
+  Permuted.canonicalize();
+  EXPECT_TRUE(statesEqual(Permuted, St));
+  EXPECT_EQ(Permuted.setsStr(), St.setsStr());
+  expectCanonicalizeIsNoOp(Permuted);
+}
+
 TEST(PcfgStateTest, ConfigKeyCoversSetsAndPendings) {
   PcfgState St;
   St.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
