@@ -203,6 +203,93 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
 }
 
 //===----------------------------------------------------------------------===//
+// Join
+//===----------------------------------------------------------------------===//
+
+void kernel::joinRef(const DbmStorage &A, const SlotMap &MapA,
+                     const DbmStorage &B, const SlotMap &MapB,
+                     DbmStorage &Out) {
+  unsigned N = static_cast<unsigned>(MapA.size());
+  for (unsigned I = 0; I < N; ++I)
+    for (unsigned J = 0; J < N; ++J)
+      Out.set(I, J,
+              std::max(boundThrough(A, MapA, I, J),
+                       boundThrough(B, MapB, I, J)));
+}
+
+namespace {
+
+/// Row-wise max of two rows over the same variable list; returns how many
+/// entries of the result are finite.
+inline unsigned maxRow(std::int64_t *__restrict Out,
+                       const std::int64_t *__restrict RowA,
+                       const std::int64_t *__restrict RowB, unsigned N) {
+  unsigned Finite = 0;
+  for (unsigned J = 0; J < N; ++J) {
+    std::int64_t V = RowA[J] < RowB[J] ? RowB[J] : RowA[J];
+    Out[J] = V;
+    Finite += V < DbmInfinity;
+  }
+  return Finite;
+}
+
+/// Row-wise max through the union maps; a column either operand lacks is
+/// unconstrained. Returns how many entries of the result are finite.
+inline unsigned maxRowMapped(std::int64_t *__restrict Out,
+                             const std::int64_t *__restrict RowA,
+                             const int *__restrict MapA,
+                             const std::int64_t *__restrict RowB,
+                             const int *__restrict MapB, unsigned N) {
+  unsigned Finite = 0;
+  for (unsigned J = 0; J < N; ++J) {
+    int SA = MapA[J], SB = MapB[J];
+    std::int64_t V = DbmInfinity;
+    if (SA >= 0 && SB >= 0)
+      V = std::max(RowA[SA], RowB[SB]);
+    Out[J] = V;
+    Finite += V < DbmInfinity;
+  }
+  return Finite;
+}
+
+} // namespace
+
+void kernel::joinDense(const DenseDbmStorage &A, const SlotMap &MapA,
+                       const DenseDbmStorage &B, const SlotMap &MapB,
+                       DenseDbmStorage &Out) {
+  const unsigned N = Out.size();
+  const std::size_t StrideA = A.rowStride(), StrideB = B.rowStride(),
+                    StrideOut = Out.rowStride();
+  const std::uint8_t *OccA = A.rowOccupancy(), *OccB = B.rowOccupancy();
+  std::uint8_t *OccOut = Out.rowOccupancy();
+
+  bool Identity = A.size() == N && B.size() == N;
+  for (unsigned U = 0; U < N && Identity; ++U)
+    Identity = MapA[U] == static_cast<int>(U) && MapB[U] == static_cast<int>(U);
+
+  for (unsigned I = 0; I < N; ++I) {
+    std::int64_t *Row = Out.rows() + I * StrideOut;
+    const int SA = MapA[I], SB = MapB[I];
+    const std::int64_t *RowA =
+        SA >= 0 ? A.rows() + static_cast<std::size_t>(SA) * StrideA : nullptr;
+    const std::int64_t *RowB =
+        SB >= 0 ? B.rows() + static_cast<std::size_t>(SB) * StrideB : nullptr;
+    if (!RowA || !RowB || !OccA[SA] || !OccB[SB]) {
+      // One side is unconstrained off the diagonal (the variable is absent,
+      // or its row has no finite bound), so the max is too.
+      std::fill_n(Row, N, DbmInfinity);
+      Row[I] = std::max(RowA ? RowA[SA] : 0, RowB ? RowB[SB] : 0);
+      OccOut[I] = 0;
+      continue;
+    }
+    unsigned Finite = Identity ? maxRow(Row, RowA, RowB, N)
+                               : maxRowMapped(Row, RowA, MapA.data(), RowB,
+                                              MapB.data(), N);
+    OccOut[I] = Finite > (Row[I] < DbmInfinity ? 1u : 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Dispatch
 //===----------------------------------------------------------------------===//
 
@@ -216,4 +303,15 @@ bool kernel::closeAfterEdge(DbmStorage &M, unsigned I, unsigned J) {
   if (DenseDbmStorage *D = M.asDense())
     return closeAfterEdgeDense(*D, I, J);
   return closeAfterEdgeRef(M, I, J);
+}
+
+void kernel::join(const DbmStorage &A, const SlotMap &MapA,
+                  const DbmStorage &B, const SlotMap &MapB, DbmStorage &Out) {
+  const DenseDbmStorage *DA = A.asDense();
+  const DenseDbmStorage *DB = B.asDense();
+  DenseDbmStorage *DOut = Out.asDense();
+  if (DA && DB && DOut)
+    joinDense(*DA, MapA, *DB, MapB, *DOut);
+  else
+    joinRef(A, MapA, B, MapB, Out);
 }

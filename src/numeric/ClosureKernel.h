@@ -32,12 +32,18 @@
 /// flat kernel, everything else (the std::map ablation backend) takes the
 /// reference loops — which are kept public as the test oracle.
 ///
+/// The join of two closed matrices follows the same pattern: join() runs
+/// the flat joinDense() when every operand is dense and the reference
+/// joinRef() otherwise; DbmPropertyTest pins the two entry for entry.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSDF_NUMERIC_CLOSUREKERNEL_H
 #define CSDF_NUMERIC_CLOSUREKERNEL_H
 
 #include "numeric/DbmStorage.h"
+
+#include <vector>
 
 namespace csdf {
 namespace kernel {
@@ -67,6 +73,45 @@ bool closeAfterEdgeRef(DbmStorage &M, unsigned I, unsigned J);
 /// closeAfterEdge route here via DbmStorage::asDense()).
 bool fullCloseDense(DenseDbmStorage &M);
 bool closeAfterEdgeDense(DenseDbmStorage &M, unsigned I, unsigned J);
+
+//===----------------------------------------------------------------------===//
+// Join
+//===----------------------------------------------------------------------===//
+
+/// The slot of each union variable in one join operand, or -1 when the
+/// operand lacks the variable.
+using SlotMap = std::vector<int>;
+
+/// Bound of union pair (I, J) in the closed matrix \p M seen through
+/// \p Map. A variable the operand lacks is unconstrained there: 0 on the
+/// diagonal, DbmInfinity elsewhere.
+inline std::int64_t boundThrough(const DbmStorage &M, const SlotMap &Map,
+                                 unsigned I, unsigned J) {
+  if (Map[I] < 0 || Map[J] < 0)
+    return I == J ? 0 : DbmInfinity;
+  return M.get(static_cast<unsigned>(Map[I]), static_cast<unsigned>(Map[J]));
+}
+
+/// Writes the join of closed matrices \p A and \p B into \p Out: entry
+/// (I, J) of the union is the max of the two operands' bounds through
+/// \p MapA and \p MapB. \p Out must already have the union's size
+/// (MapA.size() == MapB.size()). Pointwise max of closed matrices is
+/// closed, so \p Out needs no closure afterwards.
+void join(const DbmStorage &A, const SlotMap &MapA, const DbmStorage &B,
+          const SlotMap &MapB, DbmStorage &Out);
+
+/// Reference join: boundThrough per entry over virtual get/set. The path
+/// for non-dense backends and the test oracle of joinDense.
+void joinRef(const DbmStorage &A, const SlotMap &MapA, const DbmStorage &B,
+             const SlotMap &MapB, DbmStorage &Out);
+
+/// Flat join on raw rows. Writes every entry of \p Out and an exact
+/// occupancy byte per row in one sweep; a row either operand lacks or
+/// leaves unoccupied keeps only its diagonal, and identical variable lists
+/// reduce to a row-wise max.
+void joinDense(const DenseDbmStorage &A, const SlotMap &MapA,
+               const DenseDbmStorage &B, const SlotMap &MapB,
+               DenseDbmStorage &Out);
 
 } // namespace kernel
 } // namespace csdf

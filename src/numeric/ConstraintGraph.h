@@ -46,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -176,6 +177,50 @@ public:
                       &Renames);
 
   //===--------------------------------------------------------------------===
+  // Namespaces (`<ns>.<base>` variables; see numeric/SymbolTable.h)
+  //===--------------------------------------------------------------------===
+  //
+  // Id-level: membership is a prefix compare on the interned name, and
+  // renamed variables come from SymbolTable::renamed, so these build no
+  // name strings for variables already seen under the target namespace.
+
+  /// Moves every variable of each From namespace of \p Map into its To
+  /// namespace, all at once. Slots stay in place.
+  void renameNamespaces(const NamespaceMap &Map);
+
+  void renameNamespace(const std::string &From, const std::string &To) {
+    renameNamespaces(NamespaceMap(From, To));
+  }
+
+  /// Projects out (see removeVars) every namespaced variable for which
+  /// \p Dead(Ns, Base) holds. Bare variables are never removed.
+  template <typename Pred> void removeVarsIf(Pred Dead) {
+    std::vector<unsigned> Victims;
+    for (unsigned I = 1; I < Vars.size(); ++I) {
+      std::string_view Name = Syms->name(Vars[I]);
+      std::string_view Ns = namespaceOf(Name);
+      if (!Ns.empty() && Dead(Ns, Name.substr(Ns.size() + 1)))
+        Victims.push_back(I);
+    }
+    removeSlots(std::move(Victims));
+  }
+
+  /// Projects out every variable of namespace \p Ns.
+  void removeNamespace(std::string_view Ns) {
+    removeVarsIf([Ns](std::string_view VarNs, std::string_view) {
+      return VarNs == Ns;
+    });
+  }
+
+  /// Adds `<To>.<b> == <From>.<b>` for every variable `<From>.<b>`, in
+  /// slot order, skipping anchor bases (`lo$`, ...) when \p SkipAnchors.
+  /// Adds exactly the edges, in the order, that
+  /// `addEQ(LinearExpr("<To>.<b>", 0), LinearExpr("<From>.<b>", 0))` per
+  /// variable would: warm matrices repair each edge as it comes.
+  void copyNamespace(std::string_view From, const std::string &To,
+                     bool SkipAnchors);
+
+  //===--------------------------------------------------------------------===
   // Constraints and transfer
   //===--------------------------------------------------------------------===
 
@@ -301,6 +346,10 @@ public:
 
 private:
   unsigned zeroSlot() const { return 0; }
+
+  /// Projects out the variables at \p Victims (any order, repeats
+  /// allowed): closes once, then compacts. A no-op when empty.
+  void removeSlots(std::vector<unsigned> Victims);
 
   /// The matrix slot of \p Id in this graph, if present.
   std::optional<unsigned> slotOf(VarId Id) const;

@@ -135,8 +135,10 @@ public:
   unsigned rowStride() const { return Cap; }
 
   /// Per-row occupancy: rowOccupancy()[I] == 0 guarantees row I has no
-  /// finite off-diagonal bound.
+  /// finite off-diagonal bound. Kernels that write rows directly must keep
+  /// that guarantee.
   const std::uint8_t *rowOccupancy() const { return Occ.data(); }
+  std::uint8_t *rowOccupancy() { return Occ.data(); }
 
 private:
   unsigned N = 0;   ///< Logical variable count.

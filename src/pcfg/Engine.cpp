@@ -318,19 +318,13 @@ private:
     }
 
     // Garbage-collect freeze variables of consumed pendings.
-    std::set<std::string> LiveNs;
-    for (const PendingSend &P : St.InFlight)
-      LiveNs.insert(P.FreezeNs);
-    std::vector<std::string> Dead;
-    for (std::string &Var : St.Cg.varNames()) {
-      size_t Dot = Var.find('.');
-      if (Dot == std::string::npos)
-        continue;
-      std::string Ns = Var.substr(0, Dot);
-      if ((Ns[0] == 'q' || Ns.rfind("tmpq$", 0) == 0) && !LiveNs.count(Ns))
-        Dead.push_back(std::move(Var));
-    }
-    St.Cg.removeVars(Dead);
+    St.Cg.removeVarsIf([&](std::string_view Ns, std::string_view) {
+      return Ns[0] == 'q' &&
+             std::none_of(St.InFlight.begin(), St.InFlight.end(),
+                          [Ns](const PendingSend &P) {
+                            return P.FreezeNs == Ns;
+                          });
+    });
 
     St.canonicalize();
   }
@@ -346,18 +340,16 @@ private:
     // sides and provably equal across the halves.
     NameSet NonUniform = A.NonUniform;
     NonUniform.insertAll(B.NonUniform);
-    std::set<std::string> VarsSeen;
-    for (const std::string &Var : St.Cg.varNames()) {
-      std::string PrefixA = A.Name + ".";
-      if (Var.rfind(PrefixA, 0) != 0)
+    for (VarId Id : St.Cg.varIds()) {
+      const std::string &Var = St.Cg.symbols().name(Id);
+      if (!inNamespace(Var, A.Name))
         continue;
-      std::string Base = Var.substr(PrefixA.size());
-      if (Base.find('$') != std::string::npos)
+      std::string Base = Var.substr(A.Name.size() + 1);
+      if (isAnchorName(Base))
         continue; // Anchor slots are per-set metadata.
-      VarsSeen.insert(Base);
-      LinearExpr VA(A.Name + "." + Base, 0);
-      LinearExpr VB(B.Name + "." + Base, 0);
-      if (!NonUniform.count(Base) && !St.Cg.provesEQ(VA, VB))
+      if (!NonUniform.count(Base) &&
+          !St.Cg.provesEQ(LinearExpr(Var, 0),
+                          LinearExpr(B.Name + "." + Base, 0)))
         NonUniform.insert(Base);
     }
 
@@ -370,25 +362,20 @@ private:
 
     ConstraintGraph CgA = St.Cg;
     ConstraintGraph CgB = St.Cg;
-    renameNsIn(CgA, A.Name, NewName);
-    renameNsIn(CgB, B.Name, NewName);
+    CgA.renameNamespace(A.Name, NewName);
+    CgB.renameNamespace(B.Name, NewName);
     CgA.joinWith(CgB);
     St.Cg = std::move(CgA);
     // A's anchor slots (lo$/ub$) were renamed into NewName by the join
     // but describe A's old extent; drop them before the merged anchors
     // take those names.
-    std::vector<std::string> Stale;
-    for (std::string &Var : St.Cg.varNames())
-      if (Var.rfind(NewName + ".", 0) == 0 &&
-          Var.find('$') != std::string::npos)
-        Stale.push_back(std::move(Var));
-    St.Cg.removeVars(Stale);
-    renameNsIn(St.Cg, "mrg$", NewName);
-    Anchored = Anchored.withRenamedVars([&](const std::string &Var) {
-      if (Var.rfind("mrg$.", 0) == 0)
-        return NewName + "." + Var.substr(5);
-      return Var;
+    St.Cg.removeVarsIf([&](std::string_view Ns, std::string_view Base) {
+      return Ns == NewName && isAnchorName(Base);
     });
+    NamespaceMap FromScratch("mrg$", NewName);
+    St.Cg.renameNamespaces(FromScratch);
+    Anchored = Anchored.withRenamedVars(
+        [&](const std::string &Var) { return FromScratch.apply(Var); });
 
     ProcSetEntry Combined2;
     Combined2.Name = NewName;
@@ -398,26 +385,13 @@ private:
 
     // Remove stale namespaces (B's vars survived in CgA, A's in CgB; both
     // partially; clean them).
-    Stale.clear();
-    for (std::string &Var : St.Cg.varNames())
-      if (Var.rfind(A.Name + ".", 0) == 0 ||
-          Var.rfind(B.Name + ".", 0) == 0)
-        Stale.push_back(std::move(Var));
-    St.Cg.removeVars(Stale);
+    St.Cg.removeVarsIf([&](std::string_view Ns, std::string_view) {
+      return Ns == A.Name || Ns == B.Name;
+    });
 
     // Erase J first (higher index), then replace I.
     St.Sets.erase(St.Sets.begin() + static_cast<long>(J));
     St.Sets[I] = std::move(Combined2);
-  }
-
-  static void renameNsIn(ConstraintGraph &Cg, const std::string &FromNs,
-                         const std::string &ToNs) {
-    std::vector<std::pair<std::string, std::string>> Renames;
-    std::string Prefix = FromNs + ".";
-    for (const std::string &Var : Cg.varNames())
-      if (Var.rfind(Prefix, 0) == 0)
-        Renames.emplace_back(Var, ToNs + "." + Var.substr(Prefix.size()));
-    Cg.renameVars(Renames);
   }
 
   /// Reduces a range bound to one *stable* form. Stored bounds must never
@@ -463,16 +437,7 @@ private:
       // agree with the parent exactly. The parent's `lo$`/`ub$` anchor
       // slots are per-set metadata, not program state — copying them
       // would contradict the piece's own freshly assigned anchors.
-      std::string OldPrefix = OldName + ".";
-      for (const std::string &Var : St.Cg.varNames()) {
-        if (Var.rfind(OldPrefix, 0) != 0)
-          continue;
-        std::string Base = Var.substr(OldPrefix.size());
-        if (Base.find('$') != std::string::npos)
-          continue;
-        St.Cg.addEQ(LinearExpr(E.Name + "." + Base, 0),
-                    LinearExpr(Var, 0));
-      }
+      St.Cg.copyNamespace(OldName, E.Name, /*SkipAnchors=*/true);
       NewIndices.push_back(St.Sets.size());
       St.Sets.push_back(std::move(E));
     }
@@ -1435,81 +1400,38 @@ private:
       size_t PIdx = *PendingIdx;
       PendingSend Old = St.InFlight[PIdx];
       St.InFlight.erase(St.InFlight.begin() + static_cast<long>(PIdx));
-      if (Old.IsAggregate) {
-        // Aggregate consumption: the matched receivers leave the range;
-        // leftovers (rides in SenderRest) stay in flight under fresh
-        // freeze namespaces.
-        auto ReinsertAgg = [&](const ProcRange &Rest) {
-          PendingSend Piece = Old;
-          Piece.Seq = St.NextSeq++;
-          Piece.FreezeNs = "q" + std::to_string(Piece.Seq);
-          std::string OldPrefix = Old.FreezeNs + ".";
-          for (const std::string &Var : St.Cg.varNames()) {
-            if (Var.rfind(OldPrefix, 0) != 0)
-              continue;
-            St.Cg.addEQ(LinearExpr(Piece.FreezeNs + "." +
-                                       Var.substr(OldPrefix.size()),
-                                   0),
-                        LinearExpr(Var, 0));
-          }
-          auto Retarget = [&](std::optional<LinearExpr> &L) {
-            if (L && L->hasVar() && L->var().rfind(OldPrefix, 0) == 0)
-              L = LinearExpr(Piece.FreezeNs + "." +
-                                 L->var().substr(OldPrefix.size()),
-                             L->constant());
-          };
-          Retarget(Piece.Tag);
-          Retarget(Piece.Value);
-          Piece.Senders =
-              Old.Senders.withRenamedVars([&](const std::string &V) {
-                if (V.rfind(OldPrefix, 0) == 0)
-                  return Piece.FreezeNs + "." + V.substr(OldPrefix.size());
-                return V;
-              });
+      // Leftover pieces keep their FIFO position under a fresh freeze
+      // namespace, the frozen payload copied so the old namespace can be
+      // collected independently. An aggregate's leftovers (riding in
+      // SenderRest) are the receivers it has not reached yet; a plain
+      // send's are senders, whose bounds may reference mutable variables
+      // (e.g. a loop counter) and must be pinned.
+      auto Reinsert = [&](const ProcRange &Rest) {
+        PendingSend Piece = Old;
+        Piece.Seq = St.NextSeq++;
+        Piece.FreezeNs = "q" + std::to_string(Piece.Seq);
+        St.Cg.copyNamespace(Old.FreezeNs, Piece.FreezeNs,
+                            /*SkipAnchors=*/false);
+        NamespaceMap ToPiece(Old.FreezeNs, Piece.FreezeNs);
+        auto Retarget = [&](const std::string &V) { return ToPiece.apply(V); };
+        for (std::optional<LinearExpr> *L :
+             {&Piece.DestUniform, &Piece.Tag, &Piece.Value})
+          if (*L)
+            **L = (*L)->withRenamedVar(Retarget);
+        if (Old.IsAggregate) {
+          Piece.Senders = Old.Senders.withRenamedVars(Retarget);
           Piece.AggRange =
               ProcRange(anchorBound(St, Piece.FreezeNs, "alo", Rest.lb()),
                         anchorBound(St, Piece.FreezeNs, "ahi", Rest.ub()));
-          St.InFlight.insert(St.InFlight.begin() + static_cast<long>(PIdx),
-                             Piece);
-        };
-        if (M.SenderRest.After)
-          ReinsertAgg(*M.SenderRest.After);
-        if (M.SenderRest.Before)
-          ReinsertAgg(*M.SenderRest.Before);
-      } else if (!M.SenderFull) {
-        // Leftover pieces get a fresh freeze namespace: their bounds may
-        // reference mutable variables (e.g. a loop counter) and must be
-        // pinned, and the frozen payload is copied so the old namespace
-        // can be collected independently.
-        auto Reinsert = [&](const ProcRange &Rest) {
-          PendingSend Piece = Old;
-          Piece.Seq = St.NextSeq++;
-          Piece.FreezeNs = "q" + std::to_string(Piece.Seq);
-          std::string OldPrefix = Old.FreezeNs + ".";
-          for (const std::string &Var : St.Cg.varNames()) {
-            if (Var.rfind(OldPrefix, 0) != 0)
-              continue;
-            St.Cg.addEQ(
-                LinearExpr(Piece.FreezeNs + "." + Var.substr(OldPrefix.size()),
-                           0),
-                LinearExpr(Var, 0));
-          }
-          auto Retarget = [&](std::optional<LinearExpr> &L) {
-            if (L && L->hasVar() && L->var().rfind(OldPrefix, 0) == 0)
-              L = LinearExpr(Piece.FreezeNs + "." +
-                                 L->var().substr(OldPrefix.size()),
-                             L->constant());
-          };
-          Retarget(Piece.DestUniform);
-          Retarget(Piece.Tag);
-          Retarget(Piece.Value);
+        } else {
           Piece.Senders =
               ProcRange(anchorBound(St, Piece.FreezeNs, "lo", Rest.lb()),
                         anchorBound(St, Piece.FreezeNs, "hi", Rest.ub()));
-          St.InFlight.insert(St.InFlight.begin() + static_cast<long>(PIdx),
-                             Piece);
-        };
-        // Keep FIFO position.
+        }
+        St.InFlight.insert(St.InFlight.begin() + static_cast<long>(PIdx),
+                           Piece);
+      };
+      if (Old.IsAggregate || !M.SenderFull) {
         if (M.SenderRest.After)
           Reinsert(*M.SenderRest.After);
         if (M.SenderRest.Before)
@@ -1519,11 +1441,9 @@ private:
 
     // Collect the scratch anchors; relations they mediated are preserved
     // by the closure.
-    std::vector<std::string> Anchors;
-    for (std::string &Var : St.Cg.varNames())
-      if (Var.rfind("mt$", 0) == 0)
-        Anchors.push_back(std::move(Var));
-    St.Cg.removeVars(Anchors);
+    St.Cg.removeVarsIf([](std::string_view Ns, std::string_view) {
+      return Ns.substr(0, 3) == "mt$";
+    });
 
     submit(std::move(St));
   }

@@ -12,37 +12,11 @@
 #include <cassert>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 using namespace csdf;
 
 namespace {
-
-/// All constraint-graph variables inside \p Name's namespace. Walks the
-/// interned ids and resolves names through the shared table, so no name
-/// strings are copied for non-matching variables.
-std::vector<std::string> namespaceVars(const ConstraintGraph &Cg,
-                                       const std::string &Name) {
-  std::vector<std::string> Result;
-  std::string Prefix = Name + ".";
-  const SymbolTable &Syms = Cg.symbols();
-  for (VarId Id : Cg.varIds()) {
-    const std::string &Var = Syms.name(Id);
-    if (Var.rfind(Prefix, 0) == 0)
-      Result.push_back(Var);
-  }
-  return Result;
-}
-
-/// Renames every occurrence of namespace \p From to \p To inside a range.
-ProcRange renameRangeNamespace(const ProcRange &R, const std::string &From,
-                               const std::string &To) {
-  std::string Prefix = From + ".";
-  return R.withRenamedVars([&](const std::string &Var) {
-    if (Var.rfind(Prefix, 0) == 0)
-      return To + "." + Var.substr(Prefix.size());
-    return Var;
-  });
-}
 
 /// True when \p Name is \p Prefix followed by the decimal digits of \p I.
 bool isNumberedName(const std::string &Name, const std::string &Prefix,
@@ -110,30 +84,17 @@ void NameSet::insertAll(const NameSet &Other) {
   Names = std::move(Fresh);
 }
 
-void PcfgState::renameNamespace(const std::string &FromNs,
-                                const std::string &ToNs) {
-  if (FromNs == ToNs)
-    return;
-  std::vector<std::pair<std::string, std::string>> Renames;
-  std::string OldPrefix = FromNs + ".";
-  for (const std::string &Var : namespaceVars(Cg, FromNs))
-    Renames.emplace_back(Var, ToNs + "." + Var.substr(OldPrefix.size()));
-  Cg.renameVars(Renames);
-  for (ProcSetEntry &Other : Sets)
-    Other.Range = renameRangeNamespace(Other.Range, FromNs, ToNs);
+void PcfgState::renameNamespaces(const NamespaceMap &Map) {
+  Cg.renameNamespaces(Map);
+  auto Rename = [&](const std::string &Var) { return Map.apply(Var); };
+  for (ProcSetEntry &Set : Sets)
+    Set.Range = Set.Range.withRenamedVars(Rename);
   for (PendingSend &P : InFlight) {
-    P.Senders = renameRangeNamespace(P.Senders, FromNs, ToNs);
-    P.AggRange = renameRangeNamespace(P.AggRange, FromNs, ToNs);
-    auto RenameLin = [&](std::optional<LinearExpr> &L) {
-      if (!L || !L->hasVar())
-        return;
-      if (L->var().rfind(OldPrefix, 0) == 0)
-        L = LinearExpr(ToNs + "." + L->var().substr(OldPrefix.size()),
-                       L->constant());
-    };
-    RenameLin(P.DestUniform);
-    RenameLin(P.Tag);
-    RenameLin(P.Value);
+    P.Senders = P.Senders.withRenamedVars(Rename);
+    P.AggRange = P.AggRange.withRenamedVars(Rename);
+    for (std::optional<LinearExpr> *L : {&P.DestUniform, &P.Tag, &P.Value})
+      if (*L)
+        **L = (*L)->withRenamedVar(Rename);
   }
 }
 
@@ -142,12 +103,12 @@ void PcfgState::renameSet(size_t Idx, const std::string &NewName) {
   ProcSetEntry &Set = Sets[Idx];
   if (Set.Name == NewName)
     return;
-  renameNamespace(Set.Name, NewName);
+  renameNamespaces(NamespaceMap(Set.Name, NewName));
   Set.Name = NewName;
 }
 
 void PcfgState::dropSetVars(const ProcSetEntry &Set) {
-  Cg.removeVars(namespaceVars(Cg, Set.Name));
+  Cg.removeNamespace(Set.Name);
 }
 
 void PcfgState::canonicalize() {
@@ -166,25 +127,27 @@ void PcfgState::canonicalize() {
     NewSets.push_back(std::move(Sets[I]));
   Sets = std::move(NewSets);
 
-  // Renumber namespaces to p0, p1, ... via a temporary phase to avoid
-  // collisions with existing names. Sets already named p0, p1, ... in
-  // order (the common case on resubmission) skip both passes: the round
-  // trip would leave every name where it was.
+  // Renumber namespaces to p0, p1, ... and pending-send freeze namespaces
+  // to q0, q1, ... by FIFO position, so repeat visits to a configuration
+  // produce identical variable names. Both renumberings are permutations
+  // applied in one simultaneous rename, so no name can collide midway.
+  // Sets already named p0, p1, ... in order (the common case on
+  // resubmission) add no rename, and neither do freeze namespaces that
+  // already read q0, q1, ... in first-appearance order.
+  NamespaceMap Renames;
   bool SetsCanonical = true;
   for (size_t I = 0; I < Sets.size() && SetsCanonical; ++I)
     SetsCanonical = isNumberedName(Sets[I].Name, "p", I);
   if (!SetsCanonical) {
-    for (size_t I = 0; I < Sets.size(); ++I)
-      renameSet(I, "tmp$" + std::to_string(I));
-    for (size_t I = 0; I < Sets.size(); ++I)
-      renameSet(I, "p" + std::to_string(I));
+    for (size_t I = 0; I < Sets.size(); ++I) {
+      std::string Final = "p" + std::to_string(I);
+      if (Sets[I].Name != Final)
+        Renames.add(std::exchange(Sets[I].Name, Final), Final);
+    }
   }
 
-  // Renumber pending-send freeze namespaces by FIFO position so repeat
-  // visits to a configuration produce identical variable names. Pieces of
-  // one partially consumed send share a namespace, so rename per distinct
-  // namespace in first-appearance order, skipping the renames when the
-  // namespaces already read q0, q1, ... in that order.
+  // Pieces of one partially consumed send share a namespace, so rename
+  // per distinct namespace in first-appearance order.
   std::stable_sort(InFlight.begin(), InFlight.end(),
                    [](const PendingSend &A, const PendingSend &B) {
                      return A.Seq < B.Seq;
@@ -199,21 +162,18 @@ void PcfgState::canonicalize() {
     FreezeCanonical = isNumberedName(DistinctNs[I], "q", I);
   if (!FreezeCanonical) {
     for (size_t I = 0; I < DistinctNs.size(); ++I) {
-      std::string Tmp = "tmpq$" + std::to_string(I);
-      renameNamespace(DistinctNs[I], Tmp);
-      for (PendingSend &P : InFlight)
-        if (P.FreezeNs == DistinctNs[I])
-          P.FreezeNs = Tmp;
-    }
-    for (size_t I = 0; I < DistinctNs.size(); ++I) {
-      std::string Tmp = "tmpq$" + std::to_string(I);
       std::string Final = "q" + std::to_string(I);
-      renameNamespace(Tmp, Final);
-      for (PendingSend &P : InFlight)
-        if (P.FreezeNs == Tmp)
-          P.FreezeNs = Final;
+      if (DistinctNs[I] != Final)
+        Renames.add(DistinctNs[I], Final);
     }
+    for (PendingSend &P : InFlight)
+      P.FreezeNs = "q" + std::to_string(std::find(DistinctNs.begin(),
+                                                  DistinctNs.end(),
+                                                  P.FreezeNs) -
+                                        DistinctNs.begin());
   }
+  if (!Renames.empty())
+    renameNamespaces(Renames);
   for (size_t I = 0; I < InFlight.size(); ++I)
     InFlight[I].Seq = static_cast<unsigned>(I);
   NextSeq = static_cast<unsigned>(InFlight.size() + DistinctNs.size());

@@ -174,9 +174,10 @@ public:
   /// Renames set \p Idx's namespace to \p NewName (variables included).
   void renameSet(size_t Idx, const std::string &NewName);
 
-  /// Renames every variable with prefix `<FromNs>.` to `<ToNs>.` across
-  /// the constraint graph, ranges and pending sends.
-  void renameNamespace(const std::string &FromNs, const std::string &ToNs);
+  /// Moves every variable of each From namespace of \p Map into its To
+  /// namespace, all at once, across the constraint graph, the set ranges
+  /// and the pending sends (ranges and frozen expressions).
+  void renameNamespaces(const NamespaceMap &Map);
 
   /// Drops all constraint-graph variables in \p Set's namespace.
   void dropSetVars(const ProcSetEntry &Set);

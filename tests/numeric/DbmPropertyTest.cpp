@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "numeric/ClosureKernel.h"
 #include "numeric/ConstraintGraph.h"
 
 #include <gtest/gtest.h>
@@ -376,6 +377,164 @@ TEST_P(DbmPropertyTest, RemoveVarsKeepsStorageExact) {
         EXPECT_EQ(D.rowOccupancy()[I] != 0, AnyFinite) << "row " << I;
       }
     }
+  }
+}
+
+/// A random matrix over \p N slots, closed by the reference kernel: sparse
+/// enough that some rows stay unoccupied, grown to its size in steps so
+/// its row stride differs from \p N, and made infeasible (a negative cycle
+/// through slots 0 and N-1) with \p Contradict.
+DenseDbmStorage closedStorage(Rng &R, unsigned N, bool Contradict) {
+  DenseDbmStorage D;
+  for (unsigned Size = 1; Size <= N; Size += 3)
+    D.resize(Size);
+  D.resize(N);
+  for (unsigned I = 0; I < N; ++I)
+    D.set(I, I, 0);
+  for (unsigned E = 0; E < N; ++E) {
+    unsigned I = static_cast<unsigned>(R.range(0, N - 1));
+    unsigned J = static_cast<unsigned>(R.range(0, N - 1));
+    if (I != J)
+      D.set(I, J, R.range(-2, 9));
+  }
+  if (Contradict && N > 1) {
+    D.set(0, N - 1, -1);
+    D.set(N - 1, 0, -1);
+  }
+  kernel::fullCloseRef(D);
+  return D;
+}
+
+/// Union slot maps for a join of an \p NA-slot and an \p NB-slot operand:
+/// the first operand's slots come first, in order (as in joinWith); the
+/// second's zero slot is the union's, some of its other slots alias
+/// random slots of the first, and the rest extend the union.
+std::pair<kernel::SlotMap, kernel::SlotMap> unionMaps(Rng &R, unsigned NA,
+                                                      unsigned NB) {
+  kernel::SlotMap MapA(NA), MapB(NA, -1);
+  for (unsigned I = 0; I < NA; ++I)
+    MapA[I] = static_cast<int>(I);
+  std::vector<unsigned> Free;
+  for (unsigned I = 1; I < NA; ++I)
+    Free.push_back(I);
+  MapB[0] = 0;
+  for (unsigned S = 1; S < NB; ++S) {
+    if (!Free.empty() && R.range(0, 1) == 0) {
+      std::size_t Pick = static_cast<std::size_t>(
+          R.range(0, static_cast<std::int64_t>(Free.size()) - 1));
+      MapB[Free[Pick]] = static_cast<int>(S);
+      Free.erase(Free.begin() + static_cast<long>(Pick));
+    } else {
+      MapA.push_back(-1);
+      MapB.push_back(static_cast<int>(S));
+    }
+  }
+  return {MapA, MapB};
+}
+
+TEST_P(DbmPropertyTest, FlatJoinMatchesReference) {
+  // The flat join must equal the reference boundThrough loop entry for
+  // entry, on overlapping, disjoint and identical variable lists and on
+  // infeasible operands, and leave every row's occupancy byte exact. A
+  // variable one operand lacks is unconstrained there: the join keeps only
+  // its diagonal.
+  Rng R(GetParam() + 1000);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    const unsigned NA = static_cast<unsigned>(R.range(1, 10));
+    const bool Same = Trial % 4 == 0;
+    const unsigned NB = Same ? NA : static_cast<unsigned>(R.range(1, 10));
+    DenseDbmStorage A = closedStorage(R, NA, Trial % 7 == 3);
+    DenseDbmStorage B = closedStorage(R, NB, Trial % 9 == 5);
+    auto [MapA, MapB] = unionMaps(R, NA, NB);
+    if (Same)
+      for (unsigned I = 0; I < NA; ++I)
+        MapA[I] = MapB[I] = static_cast<int>(I);
+    const unsigned U = static_cast<unsigned>(MapA.size());
+
+    DenseDbmStorage Flat;
+    Flat.resize(U);
+    kernel::joinDense(A, MapA, B, MapB, Flat);
+    MapDbmStorage Ref;
+    Ref.resize(U);
+    kernel::joinRef(A, MapA, B, MapB, Ref);
+
+    for (unsigned I = 0; I < U; ++I) {
+      bool AnyFinite = false;
+      for (unsigned J = 0; J < U; ++J) {
+        ASSERT_EQ(Flat.get(I, J), Ref.get(I, J))
+            << "trial " << Trial << " entry (" << I << ", " << J << ")";
+        AnyFinite |= I != J && Flat.get(I, J) < DbmInfinity;
+      }
+      EXPECT_EQ(Flat.rowOccupancy()[I] != 0, AnyFinite) << "row " << I;
+      // One-sided variables: 0 on the diagonal and DbmInfinity elsewhere
+      // from the side that lacks them.
+      if (MapA[I] < 0 || MapB[I] < 0) {
+        const DbmStorage &Has = MapA[I] < 0 ? B : A;
+        int Slot = MapA[I] < 0 ? MapB[I] : MapA[I];
+        EXPECT_EQ(Flat.get(I, I),
+                  std::max<std::int64_t>(Has.get(Slot, Slot), 0));
+        for (unsigned J = 0; J < U; ++J)
+          if (J != I) {
+            EXPECT_EQ(Flat.get(I, J), DbmInfinity) << I << ", " << J;
+            EXPECT_EQ(Flat.get(J, I), DbmInfinity) << J << ", " << I;
+          }
+      }
+    }
+  }
+}
+
+/// A random graph over a random subset of v0..v7 plus constant bounds.
+ConstraintGraph subsetGraph(Rng &R, DbmBackend Backend, SymbolTablePtr Syms) {
+  ConstraintGraph G(Backend, &StatsRegistry::global(), std::move(Syms));
+  std::vector<int> Vars;
+  for (int V = 0; V < 8; ++V)
+    if (R.range(0, 1) == 0)
+      Vars.push_back(V);
+  if (Vars.size() < 2)
+    Vars = {0, 3};
+  auto Pick = [&] {
+    return varName(Vars[static_cast<std::size_t>(R.range(
+        0, static_cast<std::int64_t>(Vars.size()) - 1))]);
+  };
+  for (int E = 0; E < 6; ++E) {
+    std::string A = Pick(), B = Pick();
+    if (A != B)
+      G.addLE(A, B, R.range(-1, 6));
+  }
+  G.addUpperBound(Pick(), R.range(0, 9));
+  return G;
+}
+
+TEST_P(DbmPropertyTest, JoinAgreesAcrossBackendsAndTables) {
+  // Graph level: the dense backend (flat join) and the map backend
+  // (reference join) produce the same union, slot order and bounds, also
+  // when the operands use different symbol tables and when one side is
+  // infeasible.
+  Rng R(GetParam() + 1100);
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    const bool SharedTable = Trial % 2 == 0;
+    const Rng Start = R;
+    std::string Results[2];
+    std::vector<std::string> Names[2];
+    for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+      Rng Again = Start;
+      auto TA = std::make_shared<SymbolTable>();
+      auto TB = SharedTable ? TA : std::make_shared<SymbolTable>();
+      ConstraintGraph A = subsetGraph(Again, Backend, TA);
+      ConstraintGraph B = subsetGraph(Again, Backend, TB);
+      ConstraintGraph &Bottom = Trial % 5 == 4 ? B : A;
+      if (Trial % 5 >= 3) {
+        Bottom.addLE("v0", "v1", -1);
+        Bottom.addLE("v1", "v0", -1);
+      }
+      A.joinWith(B);
+      int Side = Backend == DbmBackend::Dense ? 0 : 1;
+      Results[Side] = A.str();
+      Names[Side] = A.varNames();
+    }
+    EXPECT_EQ(Results[0], Results[1]) << "trial " << Trial;
+    EXPECT_EQ(Names[0], Names[1]) << "trial " << Trial;
+    R.next();
   }
 }
 

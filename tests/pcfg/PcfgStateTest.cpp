@@ -40,6 +40,27 @@ TEST(PcfgStateTest, RenameSetMovesVariablesAndRangeReferences) {
   EXPECT_EQ(St.Sets[0].Range.lb().primary(), LinearExpr("p0.lo$", 0));
 }
 
+TEST(PcfgStateTest, RenameSetLeavesLookalikeNamesAlone) {
+  // Renaming namespace p1 must not touch p10's variables or a bare `p1`,
+  // in the graph or in any range.
+  PcfgState St;
+  St.Sets.push_back(makeSet(
+      "p1", ProcRange(LinearExpr("p1.lo$", 0), LinearExpr("p10.x", 0)), 0));
+  St.Sets.push_back(makeSet(
+      "p10", ProcRange(LinearExpr("p1", 0), LinearExpr("p1.x", 2)), 1));
+  St.Cg.assign("p1.lo$", LinearExpr(0));
+  St.Cg.assign("p10.x", LinearExpr(5));
+  St.Cg.assign("p1", LinearExpr(7));
+  St.Cg.assign("p1.x", LinearExpr(1));
+  St.renameSet(0, "s3");
+  EXPECT_EQ(St.setsStr(), "s3=[s3.lo$..p10.x]@n0 p10=[p1..s3.x+2]@n1");
+  EXPECT_EQ(St.Cg.varNames(),
+            (std::vector<std::string>{"s3.lo$", "p10.x", "p1", "s3.x"}));
+  EXPECT_EQ(St.Cg.constValue("p10.x"), 5);
+  EXPECT_EQ(St.Cg.constValue("p1"), 7);
+  EXPECT_EQ(St.Cg.constValue("s3.x"), 1);
+}
+
 TEST(PcfgStateTest, CanonicalizeSortsByNodeThenBound) {
   PcfgState St;
   St.Sets.push_back(makeSet("a", ProcRange(LinearExpr(5), LinearExpr(9)), 7));
@@ -200,6 +221,106 @@ TEST(PcfgStateTest, CanonicalizingACanonicalStateIsANoOp) {
   EXPECT_TRUE(statesEqual(Permuted, St));
   EXPECT_EQ(Permuted.setsStr(), St.setsStr());
   expectCanonicalizeIsNoOp(Permuted);
+}
+
+/// Sets out of canonical order whose ranges reference each other's
+/// anchors, and two pending sends out of FIFO order: a plain one whose
+/// tag, value and destination are frozen into its namespace, and an
+/// aggregate with a frozen receiver range.
+PcfgState frozenState() {
+  PcfgState St;
+  St.Sets.push_back(makeSet(
+      "s4", ProcRange(LinearExpr(1), LinearExpr("s4.ub$", 0)), 2));
+  St.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(0)), 2));
+  St.Sets.push_back(makeSet(
+      "s9", ProcRange(LinearExpr("s4.ub$", 1), LinearExpr("np", -1)), 1));
+  St.Cg.assign("s4.ub$", LinearExpr(3));
+  St.Cg.assign("s4.i", LinearExpr("np", -2));
+  St.Cg.addLE(LinearExpr("s9.i", 0), LinearExpr("s4.i", 1));
+  St.Cg.assign("p0.i", LinearExpr(0));
+  PendingSend Plain = makePending(7, 6, "q6", 0, 0, 0, St);
+  St.Cg.assign("q6.tag", LinearExpr("s4.i", 0));
+  St.Cg.assign("q6.val", LinearExpr(11));
+  Plain.Tag = LinearExpr("q6.tag", 0);
+  Plain.Value = LinearExpr("q6.val", 2);
+  Plain.DestUniform = LinearExpr("q6.lo0", 1);
+  St.InFlight.push_back(Plain);
+  PendingSend Agg = makePending(5, 2, "q2", 0, 1, 3, St);
+  Agg.IsAggregate = true;
+  St.Cg.assign("q2.alo", LinearExpr(4));
+  St.Cg.assign("q2.ahi", LinearExpr("np", -1));
+  Agg.AggRange = ProcRange(LinearExpr("q2.alo", 0), LinearExpr("q2.ahi", 0));
+  Agg.Tag = LinearExpr(3);
+  St.InFlight.push_back(Agg);
+  St.NextSeq = 8;
+  return St;
+}
+
+TEST(PcfgStateTest, CanonicalizeRenamesEverythingInOnePass) {
+  // Pins what the two-pass (temporary-namespace) renaming produced: the
+  // same names, slot order and dump, renamed frozen expressions, and
+  // NextSeq. The one simultaneous rename interns no temporary name.
+  PcfgState St = frozenState();
+  const PcfgState Before = St;
+  St.canonicalize();
+  EXPECT_EQ(St.str(skipCfg(8)),
+            "p0 = [p2.ub$+1..np-1] at n1:skip\n"
+            "p1 = [0..0] at n2:skip\n"
+            "p2 = [1..p2.ub$] at n2:skip\n"
+            "in-flight: [q0.lo0..q0.hi0] from n5:skip\n"
+            "in-flight: [q1.lo0..q1.hi0] from n7:skip\n"
+      "cg: p2.ub$ >= 3, p1.i >= 0, q1.lo0 >= 0, q1.hi0 >= 0, "
+      "q1.val >= 11, q0.lo0 >= 1, q0.hi0 >= 3, q0.alo >= 4, "
+      "p2.ub$ <= 3, p2.ub$ <= p1.i+3, p2.ub$ <= q1.lo0+3, "
+      "p2.ub$ <= q1.hi0+3, p2.ub$ <= q1.val-8, p2.ub$ <= q0.lo0+2, "
+      "p2.ub$ <= q0.hi0+0, p2.ub$ <= q0.alo-1, p2.i <= np-2, "
+      "p2.i <= q1.tag+0, p2.i <= q0.ahi-1, np <= p2.i+2, "
+      "np <= q1.tag+2, np <= q0.ahi+1, p0.i <= p2.i+1, p0.i <= np-1, "
+      "p0.i <= q1.tag+1, p0.i <= q0.ahi+0, p1.i <= 0, p1.i <= p2.ub$-3, "
+      "p1.i <= q1.lo0+0, p1.i <= q1.hi0+0, p1.i <= q1.val-11, "
+      "p1.i <= q0.lo0-1, p1.i <= q0.hi0-3, p1.i <= q0.alo-4, "
+      "q1.lo0 <= 0, q1.lo0 <= p2.ub$-3, q1.lo0 <= p1.i+0, "
+      "q1.lo0 <= q1.hi0+0, q1.lo0 <= q1.val-11, q1.lo0 <= q0.lo0-1, "
+      "q1.lo0 <= q0.hi0-3, q1.lo0 <= q0.alo-4, q1.hi0 <= 0, "
+      "q1.hi0 <= p2.ub$-3, q1.hi0 <= p1.i+0, q1.hi0 <= q1.lo0+0, "
+      "q1.hi0 <= q1.val-11, q1.hi0 <= q0.lo0-1, q1.hi0 <= q0.hi0-3, "
+      "q1.hi0 <= q0.alo-4, q1.tag <= p2.i+0, q1.tag <= np-2, "
+      "q1.tag <= q0.ahi-1, q1.val <= 11, q1.val <= p2.ub$+8, "
+      "q1.val <= p1.i+11, q1.val <= q1.lo0+11, q1.val <= q1.hi0+11, "
+      "q1.val <= q0.lo0+10, q1.val <= q0.hi0+8, q1.val <= q0.alo+7, "
+      "q0.lo0 <= 1, q0.lo0 <= p2.ub$-2, q0.lo0 <= p1.i+1, "
+      "q0.lo0 <= q1.lo0+1, q0.lo0 <= q1.hi0+1, q0.lo0 <= q1.val-10, "
+      "q0.lo0 <= q0.hi0-2, q0.lo0 <= q0.alo-3, q0.hi0 <= 3, "
+      "q0.hi0 <= p2.ub$+0, q0.hi0 <= p1.i+3, q0.hi0 <= q1.lo0+3, "
+      "q0.hi0 <= q1.hi0+3, q0.hi0 <= q1.val-8, q0.hi0 <= q0.lo0+2, "
+      "q0.hi0 <= q0.alo-1, q0.alo <= 4, q0.alo <= p2.ub$+1, "
+      "q0.alo <= p1.i+4, q0.alo <= q1.lo0+4, q0.alo <= q1.hi0+4, "
+      "q0.alo <= q1.val-7, q0.alo <= q0.lo0+3, q0.alo <= q0.hi0+1, "
+      "q0.ahi <= p2.i+1, q0.ahi <= np-1, q0.ahi <= q1.tag+1\n");
+  EXPECT_EQ(St.Cg.varNames(),
+            (std::vector<std::string>{"p2.ub$", "p2.i", "np", "p0.i", "p1.i",
+                                      "q1.lo0", "q1.hi0", "q1.tag", "q1.val",
+                                      "q0.lo0", "q0.hi0", "q0.alo",
+                                      "q0.ahi"}));
+  EXPECT_EQ(St.NextSeq, 4u);
+  ASSERT_EQ(St.InFlight.size(), 2u);
+  const PendingSend &Agg = St.InFlight[0];
+  EXPECT_EQ(Agg.FreezeNs, "q0");
+  EXPECT_EQ(Agg.AggRange.str(), "[q0.alo..q0.ahi]");
+  EXPECT_EQ(Agg.Tag, LinearExpr(3));
+  const PendingSend &Plain = St.InFlight[1];
+  EXPECT_EQ(Plain.FreezeNs, "q1");
+  EXPECT_EQ(Plain.Seq, 1u);
+  EXPECT_EQ(Plain.Tag, LinearExpr("q1.tag", 0));
+  EXPECT_EQ(Plain.Value, LinearExpr("q1.val", 2));
+  EXPECT_EQ(Plain.DestUniform, LinearExpr("q1.lo0", 1));
+  EXPECT_FALSE(statesEqual(St, Before));
+  PcfgState Again = frozenState();
+  Again.canonicalize();
+  EXPECT_TRUE(statesEqual(St, Again));
+  const SymbolTable &Syms = St.Cg.symbols();
+  for (VarId Id = 0; Id < Syms.size(); ++Id)
+    EXPECT_NE(Syms.name(Id).rfind("tmp", 0), 0u) << Syms.name(Id);
 }
 
 TEST(PcfgStateTest, ConfigKeyCoversSetsAndPendings) {
