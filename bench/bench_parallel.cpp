@@ -5,15 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Section IX(5) argues pCFG-based analyses are naturally parallelizable.
-// The system now parallelizes at two granularities, and this harness
-// measures both:
-//
-//   * in-engine: one analysis, AnalysisOptions::Threads = N speculative
-//     step workers draining a single worklist (deterministic commits, so
-//     the result fingerprint must not change with N);
-//   * batch: whole sessions as tasks — fork mode (isolated children) vs
-//     threads mode (in-process pool sharing one cross-session closure
-//     memo) over a corpus of files, at increasing job counts.
+// The system realizes that across whole sessions, and this harness
+// measures the batch runner's two modes over a corpus of files at
+// increasing job counts: fork mode (isolated children) vs threads mode
+// (in-process pool sharing one cross-session closure memo).
 //
 // `--json PATH` writes the measured curves plus host metadata (hardware
 // thread count) as JSON; BENCH_parallel.json in the repo root is this
@@ -27,11 +22,8 @@
 
 #include "BenchMeta.h"
 #include "api/Csdf.h"
-#include "cfg/CfgBuilder.h"
 #include "driver/Batch.h"
 #include "lang/Corpus.h"
-#include "lang/Parser.h"
-#include "pcfg/Engine.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -56,13 +48,12 @@ double nowMs() {
 }
 
 struct CurvePoint {
-  unsigned Threads = 1;
+  unsigned Jobs = 1;
   double Ms = 0;
   double Speedup = 1.0;
 };
 
-std::string curveJson(const std::vector<CurvePoint> &Curve,
-                      const char *Key = "threads") {
+std::string curveJson(const std::vector<CurvePoint> &Curve) {
   std::ostringstream Os;
   Os << "[";
   for (size_t I = 0; I < Curve.size(); ++I) {
@@ -70,66 +61,13 @@ std::string curveJson(const std::vector<CurvePoint> &Curve,
       Os << ", ";
     char Buf[96];
     std::snprintf(Buf, sizeof(Buf),
-                  "{\"%s\": %u, \"ms\": %.2f, \"speedup\": %.2f}", Key,
-                  Curve[I].Threads, Curve[I].Ms, Curve[I].Speedup);
+                  "{\"jobs\": %u, \"ms\": %.2f, \"speedup\": %.2f}",
+                  Curve[I].Jobs, Curve[I].Ms, Curve[I].Speedup);
     Os << Buf;
   }
   Os << "]";
   return Os.str();
 }
-
-//===--------------------------------------------------------------------===//
-// Level 1: in-engine parallel drain
-//===--------------------------------------------------------------------===//
-
-/// A result fingerprint coarse enough for a quick cross-thread-count
-/// equality check (the determinism test does the exhaustive one).
-std::string fingerprint(const AnalysisResult &R) {
-  std::ostringstream Os;
-  Os << R.Outcome.str() << " m=" << R.Matches.size()
-     << " b=" << R.Bugs.size() << " s=" << R.StatesExplored
-     << " c=" << R.ConfigsVisited;
-  return Os.str();
-}
-
-/// The heaviest corpus kernel mix: every pattern at a pinned, large np,
-/// analyzed back to back as ONE timed unit so the engine curve reflects a
-/// realistic worklist mix rather than a single lucky shape.
-struct EngineWorkload {
-  std::vector<Cfg> Graphs;
-  std::vector<Program> Progs; // Keeps the Cfg node pointers alive.
-  AnalysisOptions Base = AnalysisOptions::cartesian();
-};
-
-EngineWorkload buildEngineWorkload() {
-  EngineWorkload W;
-  for (const auto &[Name, Source] : corpus::allPatterns()) {
-    W.Progs.push_back(parseProgramOrDie(Source));
-    W.Graphs.push_back(buildCfg(W.Progs.back()));
-  }
-  W.Base.FixedNp = 32;
-  return W;
-}
-
-/// One timed pass over the workload at a given engine thread count.
-/// Returns {elapsed ms, concatenated fingerprints}.
-std::pair<double, std::string> runEngine(const EngineWorkload &W,
-                                         unsigned Threads) {
-  AnalysisOptions Opts = W.Base;
-  Opts.Threads = Threads;
-  std::string Fp;
-  double Start = nowMs();
-  for (const Cfg &G : W.Graphs) {
-    StatsRegistry Stats;
-    Fp += fingerprint(analyzeProgram(G, Opts, &Stats));
-    Fp += ";";
-  }
-  return {nowMs() - Start, Fp};
-}
-
-//===--------------------------------------------------------------------===//
-// Level 2: batch over a corpus of files
-//===--------------------------------------------------------------------===//
 
 /// Writes the corpus to a scratch directory (each kernel a few times so
 /// there is enough work per job slot), removed on destruction.
@@ -202,35 +140,8 @@ int main(int Argc, char **Argv) {
 
   const std::vector<unsigned> Counts = {1, 2, 4, 8};
 
-  // Level 1: in-engine parallel drain.
-  EngineWorkload W = buildEngineWorkload();
-  std::printf("[engine] %zu kernels, cartesian preset, np=32, one "
-              "worklist per kernel\n",
-              W.Graphs.size());
-  (void)runEngine(W, 1); // Warm-up: allocator pools, closure memo shapes.
-  std::vector<CurvePoint> Engine;
-  std::string BaseFp;
-  bool Identical = true;
-  for (unsigned T : Counts) {
-    std::string Fp;
-    double Ms = bestOf(3, [&] {
-      auto [ThisMs, ThisFp] = runEngine(W, T);
-      Fp = ThisFp;
-      return ThisMs;
-    });
-    if (T == 1)
-      BaseFp = Fp;
-    else if (Fp != BaseFp)
-      Identical = false;
-    Engine.push_back({T, Ms, Engine.empty() ? 1.0 : Engine[0].Ms / Ms});
-    std::printf("  threads=%u  %9.2f ms  %5.2fx  %s\n", T, Ms,
-                Engine.back().Speedup,
-                Fp == BaseFp ? "identical" : "RESULTS DIVERGED");
-  }
-
-  // Level 2: batch fork vs threads mode.
   ScratchCorpus Corpus(3);
-  std::printf("\n[batch] %zu files, fork vs threads mode\n",
+  std::printf("[batch] %zu files, fork vs threads mode\n",
               Corpus.Files.size());
   std::vector<CurvePoint> Fork, Threads;
   for (unsigned J : Counts) {
@@ -246,11 +157,8 @@ int main(int Argc, char **Argv) {
                 Threads.back().Speedup);
   }
 
-  std::printf("\nengine results across thread counts: %s\n",
-              Identical ? "bit-identical (deterministic commits)"
-                        : "DIVERGED — determinism bug");
   if (HW < 4)
-    std::printf("note: only %u hardware thread(s); speedups are bounded "
+    std::printf("\nnote: only %u hardware thread(s); speedups are bounded "
                 "by the host, not the scheduler. CI publishes the "
                 "multi-core curve.\n",
                 HW);
@@ -260,20 +168,13 @@ int main(int Argc, char **Argv) {
     Out << "{\n"
         << "  \"bench\": \"parallel\",\n"
         << "  \"meta\": " << bench::benchMetaJson() << ",\n"
-        << "  \"engine\": {\n"
-        << "    \"workload\": \"" << W.Graphs.size()
-        << " corpus kernels, cartesian, np=32\",\n"
-        << "    \"identical_results\": " << (Identical ? "true" : "false")
-        << ",\n"
-        << "    \"curve\": " << curveJson(Engine) << "\n"
-        << "  },\n"
         << "  \"batch\": {\n"
         << "    \"files\": " << Corpus.Files.size() << ",\n"
-        << "    \"fork\": " << curveJson(Fork, "jobs") << ",\n"
-        << "    \"threads\": " << curveJson(Threads, "jobs") << "\n"
+        << "    \"fork\": " << curveJson(Fork) << ",\n"
+        << "    \"threads\": " << curveJson(Threads) << "\n"
         << "  }\n"
         << "}\n";
     std::printf("wrote %s\n", JsonPath.c_str());
   }
-  return Identical ? 0 : 1;
+  return 0;
 }

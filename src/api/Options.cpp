@@ -31,8 +31,6 @@ AnalysisOptions RequestOptions::analysis() const {
     Opts.FixedNp = FixedNp;
   for (const auto &[Name, Value] : Params)
     Opts.Params[Name] = Value;
-  if (Threads > 0)
-    Opts.Threads = Threads;
   if (MaxStates > 0)
     Opts.MaxStates = MaxStates;
   Opts.CheckMatchNondet = CheckMatchNondet;
@@ -136,19 +134,6 @@ ArgStatus csdf::api::parseSharedOption(int Argc, const char *const *Argv,
     return ArgStatus::Consumed;
   }
 
-  if (Arg == "--threads") {
-    const char *Value;
-    std::int64_t N;
-    if (!takeValue(Value))
-      return ArgStatus::Error;
-    if (!parseLimit(Value, 1024, N) || N == 0) {
-      Error = "--threads requires an integer between 1 and 1024";
-      return ArgStatus::Error;
-    }
-    Opts.Threads = static_cast<unsigned>(N);
-    return ArgStatus::Consumed;
-  }
-
   if (Arg == "--max-states") {
     const char *Value;
     std::int64_t N;
@@ -227,12 +212,6 @@ bool csdf::api::optionsFromJson(const JsonValue &Json, RequestOptions &Opts,
         }
         Opts.Params[Name] = Param.asInt();
       }
-    } else if (Key == "threads") {
-      if (!Value.isInt() || Value.asInt() < 1 || Value.asInt() > 1024) {
-        Error = "options.threads must be an integer between 1 and 1024";
-        return false;
-      }
-      Opts.Threads = static_cast<unsigned>(Value.asInt());
     } else if (Key == "max_states") {
       if (!Value.isInt() || Value.asInt() < 1 ||
           Value.asInt() > 1000000000) {
@@ -298,7 +277,6 @@ std::string csdf::api::optionsToJson(const RequestOptions &Opts) {
   J += ",\"prover_steps\":" + std::to_string(Opts.ProverSteps);
   J += ",\"test_hooks\":";
   J += Opts.TestHooks ? "true" : "false";
-  J += ",\"threads\":" + std::to_string(Opts.Threads);
   J += "}";
   return J;
 }

@@ -45,7 +45,6 @@ struct RequestOptions {
   /// Engine overrides on top of the preset (0 = preset default).
   std::int64_t FixedNp = 0;
   std::map<std::string, std::int64_t> Params;
-  unsigned Threads = 1;
   unsigned MaxStates = 0;
 
   /// Session budget limits (0 = unlimited).
@@ -77,8 +76,7 @@ struct RequestOptions {
   /// with the source text it forms the content-addressed cache key of
   /// `csdf serve`. Budget limits are included: a run bounded by a 50 ms
   /// deadline is a different request than an unbounded one (its verdict
-  /// may legitimately be degraded-to-top). Threads is not: results are
-  /// bit-identical at any worker count.
+  /// may legitimately be degraded-to-top).
   std::string fingerprint() const;
 };
 
@@ -90,7 +88,7 @@ enum class ArgStatus {
 };
 
 /// Tries to consume Argv[I] as one of the shared request flags —
-/// `--client`, `--fixed-np`, `--param`, `--threads`, `--max-states`,
+/// `--client`, `--fixed-np`, `--param`, `--max-states`,
 /// `--deadline-ms`, `--max-memory-mb`, `--prover-steps`,
 /// `--no-match-nondet`, `--test-hooks` —
 /// advancing \p I past the flag's value when one is taken. Every csdf
@@ -102,11 +100,10 @@ ArgStatus parseSharedOption(int Argc, const char *const *Argv, int &I,
 /// Applies a `csdf serve` request's "options" object on top of \p Opts
 /// (fields not present keep their current — typically daemon-default —
 /// values). Accepted members: client, fixed_np, params (object of
-/// name -> integer), threads, max_states, deadline_ms, max_memory_mb,
+/// name -> integer), max_states, deadline_ms, max_memory_mb,
 /// prover_steps, check_match_nondet, test_hooks. Returns false with \p
-/// Error set on an
-/// unknown member or a type mismatch: requests with typos fail loudly
-/// instead of analyzing with silently-default options.
+/// Error set on an unknown member or a type mismatch: requests with typos
+/// fail loudly instead of analyzing with silently-default options.
 bool optionsFromJson(const JsonValue &Json, RequestOptions &Opts,
                      std::string &Error);
 

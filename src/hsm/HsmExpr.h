@@ -82,9 +82,11 @@ bool hsmFullSetMatch(const Expr *SendExpr, const Poly &SenderLo,
 /// depend on whether an answer came from the memo. A proof that throws
 /// stores nothing.
 ///
-/// Thread-safe: the parallel drain's workers share one memo. Lookups and
-/// inserts take a mutex; proofs run outside it, so two threads missing on
-/// the same question may both prove it (the answers are equal).
+/// Thread-safe: the engine gives each run its own memo and queries it
+/// from that run's thread only, but lookups and inserts still take a
+/// mutex so a memo stays safe to share; proofs run outside it, so two
+/// threads missing on the same question may both prove it (the answers
+/// are equal).
 class HsmMatchMemo {
 public:
   /// \p Stats, when non-null, receives the `hsm.match.memo.hits` and

@@ -58,12 +58,13 @@ namespace csdf {
 /// result is the closed DbmShared block itself: adopting it on a hit costs
 /// one pointer assignment, and copy-on-write protects it from mutation.
 ///
-/// Thread-safe: lookup/insert serialize on a mutex, so one memo can be
-/// shared by the engine's parallel drain workers — and, in cross-session
-/// mode, by every session of a `csdf batch` threads run. Memoized blocks
-/// are always Closed, which under the engine's closed-shared-block
-/// invariant makes them immutable: any handle that wants to mutate one
-/// detaches a private clone first.
+/// Thread-safe: lookup/insert serialize on a mutex, so in cross-session
+/// mode one memo can be shared by every session of a `csdf batch`
+/// threads run, each on its own pool worker. Memoized blocks are always
+/// Closed, which under the engine's closed-shared-block invariant (every
+/// state the engine stores or shares is closed first) makes them
+/// immutable: any handle that wants to mutate one detaches a private
+/// clone first.
 class ClosureMemo {
 public:
   ClosureMemo() = default;

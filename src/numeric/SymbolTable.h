@@ -17,9 +17,10 @@
 /// Ids are append-only: interning never invalidates previously handed-out
 /// VarIds, which is what lets long-lived analysis states cache them.
 ///
-/// The table is thread-safe so the engine's parallel drain (and the batch
-/// threads mode) can share one instance: intern()/lookup() serialize on a
-/// mutex, while name() — the hot read on comparison paths — is lock-free.
+/// The table is thread-safe so one instance may serve sessions on
+/// different threads (a warm Analyzer's table outlives each request):
+/// intern()/lookup() serialize on a mutex, while name() — the hot read on
+/// comparison paths — is lock-free.
 /// Names live in fixed-size chunks that are never moved once published, so
 /// a reference returned by name() stays valid for the table's lifetime no
 /// matter how many names are interned afterwards.

@@ -110,13 +110,6 @@ struct AnalysisOptions {
   /// sends.
   bool AggregateSendLoops = false;
 
-  /// Worker threads for the engine's parallel worklist drain (Section
-  /// IX(5): pCFG analyses are naturally parallelizable). 1 = the classic
-  /// sequential drain. Any value produces bit-identical results: workers
-  /// only *speculate* on step outcomes, and a single coordinator commits
-  /// them in the sequential worklist order.
-  unsigned Threads = 1;
-
   /// Optional pre-shared intern table / closure memo for the run. Null
   /// (the default) gives every run its own. The batch threads mode passes
   /// a shared cross-session ClosureMemo here so closure work is amortized
@@ -145,11 +138,9 @@ struct AnalysisOptions {
   /// Canonical one-line encoding of every field that can change an
   /// analysis result — the engine half of a content-addressed cache key
   /// (api::RequestOptions::fingerprint layers the budget limits on top;
-  /// `csdf serve` keys its result cache on the combination). Threads is
-  /// deliberately excluded: results are bit-identical at any thread
-  /// count, so runs differing only in worker count share one cache entry.
-  /// Budget and the SharedSymbols/SharedMemo handles are runtime wiring,
-  /// not semantics, and are excluded too.
+  /// `csdf serve` keys its result cache on the combination). Budget and
+  /// the SharedSymbols/SharedMemo handles are runtime wiring, not
+  /// semantics, and are excluded.
   std::string fingerprint() const {
     std::string F;
     F += "lin=" + std::to_string(UseLinearMatcher);

@@ -39,7 +39,7 @@
 
 namespace csdf {
 
-class AnalysisTrace; // Defined in Engine.cpp; opaque to clients.
+class AnalysisTrace; // Defined in pcfg/Step.h; opaque to clients.
 class Cfg;
 class SymbolTable;
 

@@ -143,12 +143,11 @@ private:
 
   std::chrono::steady_clock::time_point Start{};
   bool Started = false;
-  /// The counters below are shared by every thread the budget governs —
-  /// the engine's parallel drain installs one session budget on all pool
-  /// workers via BudgetScope. All of them are heuristics or monotone
-  /// accumulators, so relaxed ordering is enough: no other data is
-  /// published through them, and a poll that reads a slightly stale value
-  /// only delays a trip by one sampling interval.
+  /// The counters below are atomics so a budget stays safe to poll from
+  /// any thread that installs it with BudgetScope. All of them are
+  /// heuristics or monotone accumulators, so relaxed ordering is enough:
+  /// no other data is published through them, and a poll that reads a
+  /// slightly stale value only delays a trip by one sampling interval.
   std::atomic<std::uint32_t> PollsSinceClockRead{0};
   std::atomic<std::uint64_t> LiveBytes{0};
   std::atomic<std::uint64_t> PeakBytes{0};
@@ -183,9 +182,9 @@ inline void budgetCheckpoint() {
 
 /// Counts the prover steps taken on the current thread while it is in
 /// scope, whatever budget (if any) they are charged to. A memo uses it to
-/// learn what one uncached proof cost: the budget's own counter is shared
-/// by every thread of a parallel drain, so it cannot tell. Tallies nest;
-/// an inner tally's steps also count towards the enclosing one.
+/// learn what one uncached proof cost: a run need not have a budget, so
+/// the budget's own counter cannot tell. Tallies nest; an inner tally's
+/// steps also count towards the enclosing one.
 class ProverStepTally {
 public:
   ProverStepTally();

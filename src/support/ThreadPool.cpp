@@ -16,84 +16,43 @@ unsigned ThreadPool::hardwareThreads() {
 
 ThreadPool::ThreadPool(unsigned NumWorkers) {
   NumWorkers = std::max(1u, NumWorkers);
-  Shards.reserve(NumWorkers);
-  for (unsigned I = 0; I < NumWorkers; ++I)
-    Shards.push_back(std::make_unique<Shard>());
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I < NumWorkers; ++I)
-    Workers.emplace_back([this, I] { workerMain(I); });
+    Workers.emplace_back([this] { workerMain(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock orders the stop flag against workers deciding to sleep:
-    // without it a worker could check Stop, then block forever on a
-    // notification sent before it reached the wait.
-    std::lock_guard<std::mutex> L(IdleM);
-    Stop.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> L(M);
+    Stop = true;
   }
   IdleCv.notify_all();
   for (std::thread &W : Workers)
     W.join();
   // Tasks still queued are dropped deliberately: by contract, callers that
-  // need a task's effect hold a future (or their own latch) and wait for
-  // it before tearing the pool down.
+  // need a task's effect hold a future and wait for it before tearing the
+  // pool down.
 }
 
 void ThreadPool::run(std::function<void()> Task) {
-  unsigned S = NextShard.fetch_add(1, std::memory_order_relaxed) %
-               Shards.size();
   {
-    std::lock_guard<std::mutex> L(Shards[S]->M);
-    Shards[S]->Tasks.push_back(std::move(Task));
+    std::lock_guard<std::mutex> L(M);
+    Tasks.push_back(std::move(Task));
   }
-  Queued.fetch_add(1, std::memory_order_release);
   IdleCv.notify_one();
 }
 
-bool ThreadPool::popTask(unsigned Me, std::function<void()> &Out) {
-  // Own shard first (front: FIFO for cache-warm, in-order pickup) ...
-  {
-    Shard &S = *Shards[Me];
-    std::lock_guard<std::mutex> L(S.M);
-    if (!S.Tasks.empty()) {
-      Out = std::move(S.Tasks.front());
-      S.Tasks.pop_front();
-      return true;
-    }
-  }
-  // ... then steal from the back of the other shards, starting after our
-  // own so victims are spread across thieves.
-  for (size_t Step = 1; Step < Shards.size(); ++Step) {
-    Shard &S = *Shards[(Me + Step) % Shards.size()];
-    std::lock_guard<std::mutex> L(S.M);
-    if (!S.Tasks.empty()) {
-      Out = std::move(S.Tasks.back());
-      S.Tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerMain(unsigned Me) {
+void ThreadPool::workerMain() {
   for (;;) {
-    if (Stop.load(std::memory_order_relaxed))
-      return;
     std::function<void()> Task;
-    if (popTask(Me, Task)) {
-      Queued.fetch_sub(1, std::memory_order_relaxed);
-      Task();
-      continue;
+    {
+      std::unique_lock<std::mutex> L(M);
+      IdleCv.wait(L, [this] { return Stop || !Tasks.empty(); });
+      if (Stop)
+        return;
+      Task = std::move(Tasks.front());
+      Tasks.pop_front();
     }
-    std::unique_lock<std::mutex> L(IdleM);
-    if (Stop.load(std::memory_order_relaxed))
-      return;
-    IdleCv.wait(L, [this] {
-      return Stop.load(std::memory_order_relaxed) ||
-             Queued.load(std::memory_order_acquire) > 0;
-    });
-    if (Stop.load(std::memory_order_relaxed))
-      return;
+    Task();
   }
 }

@@ -5,32 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool with a sharded ready-queue and work stealing,
-/// shared by the two parallel layers of the system (Section IX(5),
-/// "pCFG-based analyses are naturally parallelizable"):
+/// A fixed-size worker pool with one FIFO task queue. Its client is the
+/// in-process `csdf batch` threads mode, which hands it whole analysis
+/// sessions (sharing one cross-session ClosureMemo). Tasks are coarse, so
+/// a single queue under a single mutex is never the bottleneck.
 ///
-///   * the pCFG engine's in-engine parallel drain (AnalysisOptions::Threads
-///     speculative step tasks, committed in deterministic order), and
-///   * the in-process `csdf batch` threads mode (whole analysis sessions
-///     as tasks, sharing one cross-session ClosureMemo).
-///
-/// Each worker owns one deque shard; submissions are distributed
-/// round-robin and an idle worker steals from the back of other shards, so
-/// a burst of slow tasks on one shard cannot starve the rest. The pool is
-/// deliberately policy-free: tasks are plain closures, and every
-/// determinism or isolation concern (budget scopes, recovery scopes,
-/// ordered commits) belongs to the caller.
-///
-/// Thread-local context does NOT propagate onto workers: a task that needs
-/// the caller's AnalysisBudget must install it itself with BudgetScope
-/// (see Engine's worker tasks and Batch's threads mode).
+/// The pool is deliberately policy-free: tasks are plain closures, and
+/// every isolation concern (budget scopes, recovery scopes) belongs to
+/// the caller. Thread-local context does NOT propagate onto workers: a
+/// task that needs an AnalysisBudget must install it itself with
+/// BudgetScope (as every analysis session does).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSDF_SUPPORT_THREADPOOL_H
 #define CSDF_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -59,10 +49,7 @@ public:
     return static_cast<unsigned>(Workers.size());
   }
 
-  /// Enqueues a fire-and-forget task.
-  void run(std::function<void()> Task);
-
-  /// Enqueues \p Fn and returns a future for its result.
+  /// Enqueues \p Fn and returns a future for its result (or exception).
   template <typename Fn> auto submit(Fn &&F) {
     using R = std::invoke_result_t<Fn>;
     auto Task =
@@ -76,23 +63,18 @@ public:
   static unsigned hardwareThreads();
 
 private:
-  struct Shard {
-    std::mutex M;
-    std::deque<std::function<void()>> Tasks;
-  };
+  /// Enqueues a task that must not throw (submit's packaged_task wrapper).
+  void run(std::function<void()> Task);
+  void workerMain();
 
-  void workerMain(unsigned Me);
-  bool popTask(unsigned Me, std::function<void()> &Out);
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::vector<std::thread> Workers;
-  std::mutex IdleM;
+  /// Guards Tasks and Stop; IdleCv waits on it, so a submit can never
+  /// slip between a worker's emptiness check and its sleep.
+  std::mutex M;
   std::condition_variable IdleCv;
-  std::atomic<bool> Stop{false};
-  /// Tasks queued but not yet picked up; lets sleeping workers avoid a
-  /// scan of every shard on spurious wakeups.
-  std::atomic<int> Queued{0};
-  std::atomic<unsigned> NextShard{0};
+  std::deque<std::function<void()>> Tasks;
+  bool Stop = false;
+  /// Declared last: workers start in the constructor and use the above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace csdf

@@ -64,10 +64,10 @@ struct TempDir {
 
 TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   const char *Argv[] = {"--client",        "linear", "--fixed-np", "6",
-                        "--param",         "rows=3", "--threads",  "2",
-                        "--max-states",    "500",    "--deadline-ms", "250",
-                        "--max-memory-mb", "64",     "--prover-steps", "9000",
-                        "--test-hooks",    "--no-match-nondet"};
+                        "--param",         "rows=3", "--max-states", "500",
+                        "--deadline-ms",   "250",    "--max-memory-mb", "64",
+                        "--prover-steps",  "9000",   "--test-hooks",
+                        "--no-match-nondet"};
   int Argc = static_cast<int>(std::size(Argv));
   api::RequestOptions Opts;
   std::string Error;
@@ -79,7 +79,6 @@ TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   EXPECT_EQ(Opts.Client, "linear");
   EXPECT_EQ(Opts.FixedNp, 6);
   EXPECT_EQ(Opts.Params.at("rows"), 3);
-  EXPECT_EQ(Opts.Threads, 2u);
   EXPECT_EQ(Opts.MaxStates, 500u);
   EXPECT_EQ(Opts.DeadlineMs, 250u);
   EXPECT_EQ(Opts.MaxMemoryMb, 64u);
@@ -91,7 +90,6 @@ TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   AnalysisOptions An = Opts.analysis();
   EXPECT_FALSE(An.CheckMatchNondet);
   EXPECT_EQ(An.FixedNp, 6);
-  EXPECT_EQ(An.Threads, 2u);
   EXPECT_EQ(An.MaxStates, 500u);
   EXPECT_EQ(An.Params.at("rows"), 3);
   SessionOptions S = Opts.session();
@@ -118,20 +116,21 @@ TEST(RequestOptionsTest, BadSharedFlagValuesFailLoudly) {
   EXPECT_EQ(Try({"--fixed-np", "-3"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--param", "noequals"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--param", "=5"}), api::ArgStatus::Error);
-  EXPECT_EQ(Try({"--threads", "0"}), api::ArgStatus::Error);
-  EXPECT_EQ(Try({"--threads", "4096"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--max-states", "x"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--deadline-ms", "-1"}), api::ArgStatus::Error);
   // Non-shared flags are left for the caller's own table.
   EXPECT_EQ(Try({"--np", "8"}), api::ArgStatus::NotMine);
   EXPECT_EQ(Try({"--format", "json"}), api::ArgStatus::NotMine);
+  // The engine has no worker-count option, so that flag is nobody's and
+  // every front end ends in its unknown-option usage error.
+  EXPECT_EQ(Try({"--threads", "4"}), api::ArgStatus::NotMine);
 }
 
 TEST(RequestOptionsTest, JsonSpellingMatchesFlagSpelling) {
   JsonValue Json;
   std::string Error;
   ASSERT_TRUE(parseJson("{\"client\": \"sectionx\", \"fixed_np\": 4, "
-                        "\"params\": {\"rows\": 2}, \"threads\": 3, "
+                        "\"params\": {\"rows\": 2}, "
                         "\"max_states\": 10, \"deadline_ms\": 100, "
                         "\"max_memory_mb\": 32, \"prover_steps\": 7, "
                         "\"test_hooks\": true, "
@@ -143,7 +142,6 @@ TEST(RequestOptionsTest, JsonSpellingMatchesFlagSpelling) {
   EXPECT_EQ(Opts.Client, "sectionx");
   EXPECT_EQ(Opts.FixedNp, 4);
   EXPECT_EQ(Opts.Params.at("rows"), 2);
-  EXPECT_EQ(Opts.Threads, 3u);
   EXPECT_EQ(Opts.MaxStates, 10u);
   EXPECT_EQ(Opts.DeadlineMs, 100u);
   EXPECT_EQ(Opts.MaxMemoryMb, 32u);
@@ -163,7 +161,7 @@ TEST(RequestOptionsTest, JsonSpellingMatchesFlagSpelling) {
   };
   Fails("{\"deadline\": 5}");            // unknown member
   Fails("{\"client\": \"zap\"}");        // unknown preset
-  Fails("{\"threads\": \"two\"}");       // type mismatch
+  Fails("{\"max_states\": \"ten\"}");    // type mismatch
   Fails("{\"fixed_np\": 0}");            // out of range
   Fails("{\"check_match_nondet\": 3}");  // not a bool
   Fails("{\"params\": {\"rows\": \"x\"}}");
@@ -183,7 +181,7 @@ TEST(RequestOptionsTest, OptionsToJsonRoundTripsThroughFromJson) {
     ASSERT_TRUE(api::optionsFromJson(Json, Back, Error)) << Text << ": "
                                                          << Error;
     EXPECT_EQ(Back.fingerprint(), Opts.fingerprint()) << Text;
-    EXPECT_EQ(Back.Threads, Opts.Threads) << Text;
+    EXPECT_EQ(Text.find("threads"), std::string::npos) << Text;
   };
   RoundTrips(api::RequestOptions());
 
@@ -192,7 +190,6 @@ TEST(RequestOptionsTest, OptionsToJsonRoundTripsThroughFromJson) {
   Full.FixedNp = 4;
   Full.Params["rows"] = 2;
   Full.Params["cols"] = 3;
-  Full.Threads = 3;
   Full.MaxStates = 10;
   Full.DeadlineMs = 100;
   Full.MaxMemoryMb = 32;
@@ -227,12 +224,6 @@ TEST(RequestOptionsTest, FingerprintSeparatesSemanticallyDifferentRequests) {
   // Detector toggles must key the serve cache: a cached result computed
   // with the check on would otherwise be replayed after it is turned off.
   Differs([](api::RequestOptions &O) { O.CheckMatchNondet = false; });
-
-  // Threads is excluded by design: results are bit-identical at any
-  // worker count, so a cache hit across thread counts is correct.
-  api::RequestOptions Threaded;
-  Threaded.Threads = 8;
-  EXPECT_EQ(Threaded.fingerprint(), F);
 }
 
 //===--------------------------------------------------------------------===//

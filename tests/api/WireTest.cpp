@@ -124,6 +124,16 @@ TEST(WireTest, UnknownMemberRejected) {
   EXPECT_EQ(V.get("code")->asString(), "invalid-request");
 }
 
+TEST(WireTest, ThreadsOptionIsRefused) {
+  // The engine has no worker-count option; a request still sending one
+  // fails loudly instead of being analyzed as if it had been honored.
+  JsonValue V = parseFail("{\"type\":\"analyze\",\"path\":\"a.mpl\","
+                          "\"options\":{\"threads\":4}}");
+  EXPECT_EQ(V.get("code")->asString(), "invalid-request");
+  EXPECT_NE(V.get("error")->asString().find("unknown option 'threads'"),
+            std::string::npos);
+}
+
 TEST(WireTest, TenantMustBeString) {
   JsonValue V = parseFail("{\"type\":\"stats\",\"tenant\":3}");
   EXPECT_EQ(V.get("code")->asString(), "invalid-request");
@@ -182,7 +192,6 @@ TEST(WireTest, RandomizedOptionsRoundTripFingerprintIdentity) {
     RequestOptions O;
     O.Client = Clients[Rng() % 3];
     O.FixedNp = static_cast<std::int64_t>(Rng() % 64);
-    O.Threads = 1 + static_cast<unsigned>(Rng() % 8);
     O.MaxStates = static_cast<unsigned>(Rng() % 100000);
     O.DeadlineMs = Rng() % 5000;
     O.MaxMemoryMb = Rng() % 4096;

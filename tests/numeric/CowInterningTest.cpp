@@ -96,9 +96,8 @@ TEST(SymbolTableTest, RenamedIsMemoizedAndInternsNothingTwice) {
 }
 
 TEST(SymbolTableTest, ConcurrentRenamesAgree) {
-  // The engine's parallel drain and the batch threads mode share one
-  // table: threads renaming the same ids into the same namespaces must
-  // all get the same ids.
+  // One table may serve sessions on different threads: threads renaming
+  // the same ids into the same namespaces must all get the same ids.
   SymbolTable T;
   std::vector<VarId> Ids;
   for (int I = 0; I < 64; ++I)

@@ -154,7 +154,7 @@ TEST(NameSetTest, ChangeThroughOneCopyLeavesTheOtherUnchanged) {
 
 TEST(NameSetTest, CopiesChangedOnSeparateThreadsStayIndependent) {
   // Each thread owns its copy; all of them start on one shared vector,
-  // as states copied into speculative workers do.
+  // as copies of one state handed to different threads do.
   NameSet Base;
   for (int I = 0; I < 16; ++I)
     Base.insert(numbered("v", I));

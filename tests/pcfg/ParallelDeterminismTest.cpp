@@ -1,28 +1,28 @@
-//===- tests/pcfg/ParallelDeterminismTest.cpp - Threaded drain determinism -===//
+//===- tests/pcfg/ParallelDeterminismTest.cpp - Concurrent-session determinism -===//
 //
-// The parallel drain's headline guarantee: for any program and any client
-// preset, `AnalysisOptions::Threads = N` produces a bit-identical
-// AnalysisResult for every N. Workers only speculate on step outcomes; the
-// coordinator commits them in the sequential worklist order, so the
-// exploration — state counts included — must be indistinguishable from the
-// classic single-threaded drain. This sweep serializes the *entire* result
-// (matches, facts, bugs, snapshots, verdict, and exploration statistics)
-// and compares it across thread counts over the whole corpus, including
-// the intentionally buggy programs and a Top-driving one.
-//
-// Runs without budgets on purpose: under a budget, stale speculative tasks
-// consume deadline/prover polls that the sequential drain would not, so
-// budget-triggered degradation points may differ (see DESIGN.md).
+// Section IX(5)'s parallelism is realized across sessions: `csdf batch
+// --mode threads` runs whole analyses side by side on a ThreadPool, all
+// sharing one cross-session ClosureMemo. Its guarantee: a session's
+// AnalysisResult is bit-identical to the same analysis run alone, whatever
+// the worker count and whatever runs beside it. This sweep serializes the
+// *entire* result (matches, facts, bugs, snapshots, verdict, and
+// exploration statistics) and compares concurrent sessions against the
+// isolated baseline over the whole corpus, including the intentionally
+// buggy programs and a Top-driving one.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CfgBuilder.h"
 #include "lang/Corpus.h"
 #include "lang/Parser.h"
+#include "numeric/ConstraintGraph.h"
 #include "pcfg/Engine.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +96,17 @@ std::vector<corpus::NamedProgram> sweepPrograms() {
   return Progs;
 }
 
+/// Runs \p Opts on \p Graph as one session on \p Pool, sharing \p Memo the
+/// way batch threads mode does.
+std::future<std::string> submitSession(ThreadPool &Pool, const Cfg &Graph,
+                                       AnalysisOptions Opts,
+                                       std::shared_ptr<ClosureMemo> Memo) {
+  Opts.SharedMemo = std::move(Memo);
+  return Pool.submit([&Graph, Opts] {
+    return fingerprint(analyzeProgram(Graph, Opts));
+  });
+}
+
 class ParallelDeterminism
     : public ::testing::TestWithParam<corpus::NamedProgram> {};
 
@@ -104,19 +115,23 @@ TEST_P(ParallelDeterminism, IdenticalResultAtAnyThreadCount) {
   Program P = parseProgramOrDie(Prog.Source);
   Cfg Graph = buildCfg(P);
 
-  for (const PresetCase &Preset : presets()) {
-    AnalysisOptions Base = Preset.Opts;
-    Base.Threads = 1;
-    std::string Sequential = fingerprint(analyzeProgram(Graph, Base));
+  std::vector<PresetCase> Presets = presets();
+  std::vector<std::string> Isolated;
+  for (const PresetCase &Preset : Presets)
+    Isolated.push_back(fingerprint(analyzeProgram(Graph, Preset.Opts)));
 
-    for (unsigned Threads : {2u, 4u, 8u}) {
-      AnalysisOptions Opts = Preset.Opts;
-      Opts.Threads = Threads;
-      std::string Parallel = fingerprint(analyzeProgram(Graph, Opts));
-      EXPECT_EQ(Sequential, Parallel)
-          << Prog.Name << " preset=" << Preset.Name
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    ThreadPool Pool(Threads);
+    auto Memo = std::make_shared<ClosureMemo>(/*CrossSession=*/true);
+    // Two sessions per preset, all in flight at once on one memo.
+    std::vector<std::future<std::string>> Runs;
+    for (int Copy = 0; Copy < 2; ++Copy)
+      for (const PresetCase &Preset : Presets)
+        Runs.push_back(submitSession(Pool, Graph, Preset.Opts, Memo));
+    for (size_t I = 0; I < Runs.size(); ++I)
+      EXPECT_EQ(Isolated[I % Presets.size()], Runs[I].get())
+          << Prog.Name << " preset=" << Presets[I % Presets.size()].Name
           << " diverges at threads=" << Threads;
-    }
   }
 }
 
@@ -130,19 +145,24 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParallelDeterminism,
                            return Name;
                          });
 
-// Repeated parallel runs of the same analysis must agree with each other,
-// not just with the sequential baseline — catches scheduling-dependent
-// flakiness that a single lucky run would hide.
+// Repeated rounds of concurrent sessions on one warm memo must agree with
+// each other, not just with the isolated baseline — catches
+// scheduling-dependent flakiness that a single lucky round would hide.
 TEST(ParallelDeterminismTest, RepeatedRunsAreStable) {
   Program P = parseProgramOrDie(corpus::exchangeWithRoot());
   Cfg Graph = buildCfg(P);
   AnalysisOptions Opts = AnalysisOptions::cartesian();
-  Opts.Threads = 4;
+  ThreadPool Pool(4);
+  auto Memo = std::make_shared<ClosureMemo>(/*CrossSession=*/true);
 
   std::string First = fingerprint(analyzeProgram(Graph, Opts));
-  for (int I = 0; I < 5; ++I)
-    EXPECT_EQ(First, fingerprint(analyzeProgram(Graph, Opts)))
-        << "run " << I;
+  for (int Round = 0; Round < 5; ++Round) {
+    std::vector<std::future<std::string>> Runs;
+    for (int I = 0; I < 4; ++I)
+      Runs.push_back(submitSession(Pool, Graph, Opts, Memo));
+    for (std::future<std::string> &R : Runs)
+      EXPECT_EQ(First, R.get()) << "round " << Round;
+  }
 }
 
 } // namespace

@@ -1,10 +1,9 @@
 //===- tests/support/ThreadPoolTest.cpp - Worker pool tests ----------------===//
 //
-// The shared worker pool under both parallel layers (the engine's
-// speculative step tasks and batch threads mode). The contract under test:
+// The worker pool behind batch threads mode. The contract under test:
 // every submitted task runs exactly once, results and exceptions flow
-// through futures, a slow task on one shard cannot starve the others
-// (work stealing), and destruction joins running tasks.
+// through futures, a slow task on one worker cannot starve the others, a
+// submit never loses its wakeup, and destruction joins running tasks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +57,9 @@ TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures) {
 }
 
 TEST(ThreadPoolTest, SlowTaskDoesNotStarveOtherShards) {
-  // Round-robin submission puts the blocker on one shard; the fast tasks
-  // behind it must be stolen by the other workers while it holds its
-  // worker. Release the blocker only after every fast task finished, so
-  // the test deadlocks (and times out) if stealing is broken.
+  // The blocker holds one worker; the fast tasks queued behind it must
+  // run on the others. Release the blocker only after every fast task
+  // finished, so the test deadlocks (and times out) if they cannot.
   ThreadPool Pool(4);
   std::promise<void> Release;
   std::shared_future<void> Gate = Release.get_future().share();
@@ -105,7 +103,7 @@ TEST(ThreadPoolTest, DestructorJoinsRunningTasks) {
   std::atomic<bool> Finished{false};
   {
     ThreadPool Pool(2);
-    Pool.run([&Finished] {
+    std::future<void> Running = Pool.submit([&Finished] {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       Finished.store(true);
     });
@@ -125,6 +123,19 @@ TEST(ThreadPoolTest, SingleWorkerPoolStillDrains) {
   for (auto &F : Done)
     F.get();
   EXPECT_EQ(Sum, 55);
+}
+
+TEST(ThreadPoolTest, SubmitRightAfterConstructionIsNeverLost) {
+  // A fresh worker may be between finding the queue empty and going to
+  // sleep when the first task arrives; that task must still wake it. The
+  // window is narrow, so try many fresh pools.
+  for (int I = 0; I < 200; ++I) {
+    ThreadPool Pool(1);
+    std::future<void> Done = Pool.submit([] {});
+    ASSERT_EQ(Done.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready)
+        << "wakeup lost on fresh pool " << I;
+  }
 }
 
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {

@@ -43,8 +43,6 @@
 //   --client linear|cartesian|sectionx   client analysis (default cartesian)
 //   --fixed-np N                pin np for the analysis
 //   --param NAME=V              grid parameter (both run and analysis)
-//   --threads N                 parallel worklist drain; results are
-//                               bit-identical at any N
 //   --max-states N              engine state budget (deterministic trip)
 //   --deadline-ms N             cooperative wall-clock deadline; past it
 //                               the analysis degrades to Top, not a hang
@@ -223,8 +221,6 @@ void usage() {
                "analysis options (analyze, lint, batch, serve):\n"
                "  --client linear|cartesian|sectionx  --fixed-np N  "
                "--param NAME=V\n"
-               "  --threads N      parallel worklist drain (identical "
-               "results at any N)\n"
                "  --max-states N   engine state budget\n"
                "  --deadline-ms N  --max-memory-mb N  --prover-steps N\n"
                "  --no-match-nondet  do not report wildcard receives with "
