@@ -43,6 +43,7 @@
 
 #include "numeric/DbmStorage.h"
 
+#include <cassert>
 #include <vector>
 
 namespace csdf {
@@ -75,6 +76,28 @@ bool fullCloseDense(DenseDbmStorage &M);
 bool closeAfterEdgeDense(DenseDbmStorage &M, unsigned I, unsigned J);
 
 //===----------------------------------------------------------------------===//
+// Per-cell loops
+//===----------------------------------------------------------------------===//
+
+/// Calls \p Fn with \p M as its concrete backend — DenseDbmStorage or
+/// MapDbmStorage, both final — so the get/set calls of a per-cell loop
+/// written once as a generic lambda inline instead of dispatching
+/// virtually per cell. Returns what \p Fn returns.
+template <typename Fn> decltype(auto) visit(DbmStorage &M, Fn &&F) {
+  if (DenseDbmStorage *D = M.asDense())
+    return F(*D);
+  assert(dynamic_cast<MapDbmStorage *>(&M) && "unknown DBM backend");
+  return F(static_cast<MapDbmStorage &>(M));
+}
+
+template <typename Fn> decltype(auto) visit(const DbmStorage &M, Fn &&F) {
+  if (const DenseDbmStorage *D = M.asDense())
+    return F(*D);
+  assert(dynamic_cast<const MapDbmStorage *>(&M) && "unknown DBM backend");
+  return F(static_cast<const MapDbmStorage &>(M));
+}
+
+//===----------------------------------------------------------------------===//
 // Join
 //===----------------------------------------------------------------------===//
 
@@ -84,9 +107,11 @@ using SlotMap = std::vector<int>;
 
 /// Bound of union pair (I, J) in the closed matrix \p M seen through
 /// \p Map. A variable the operand lacks is unconstrained there: 0 on the
-/// diagonal, DbmInfinity elsewhere.
-inline std::int64_t boundThrough(const DbmStorage &M, const SlotMap &Map,
-                                 unsigned I, unsigned J) {
+/// diagonal, DbmInfinity elsewhere. On a concrete backend (see visit())
+/// the read inlines.
+template <typename StorageT>
+std::int64_t boundThrough(const StorageT &M, const SlotMap &Map, unsigned I,
+                          unsigned J) {
   if (Map[I] < 0 || Map[J] < 0)
     return I == J ? 0 : DbmInfinity;
   return M.get(static_cast<unsigned>(Map[I]), static_cast<unsigned>(Map[J]));

@@ -144,8 +144,13 @@ unsigned ConstraintGraph::ensureSlot(VarId Id) {
     return *Slot;
   Vars.push_back(Id);
   unsigned Slot = static_cast<unsigned>(Vars.size()) - 1;
-  DbmShared &B = mutableBlock();
-  B.M->resize(Slot + 1);
+  // A shared block is copied and grown in one pass.
+  if (Cow.detachAs(
+          [&](const DbmStorage &M) { return M.grownClone(Slot + 1); }))
+    bump(Cells.CowDetaches);
+  else
+    Cow.rwShared().M->resize(Slot + 1);
+  DbmShared &B = Cow.rwShared();
   B.M->set(Slot, Slot, 0);
   B.reaccount();
   // Adding an unconstrained variable preserves closure.
@@ -201,7 +206,12 @@ void ConstraintGraph::removeSlots(std::vector<unsigned> Victims) {
   std::sort(Victims.begin(), Victims.end());
   Victims.erase(std::unique(Victims.begin(), Victims.end()), Victims.end());
   close();
-  mutableBlock().M->removeVars(Victims);
+  // A shared block is projected while it is copied.
+  if (Cow.detachAs(
+          [&](const DbmStorage &M) { return M.projectedClone(Victims); }))
+    bump(Cells.CowDetaches);
+  else
+    Cow.rwShared().M->removeVars(Victims);
   // Projection of a closed matrix is closed, and projecting several
   // variables at once yields exactly the matrix that removing them one by
   // one would.
@@ -347,13 +357,14 @@ void ConstraintGraph::assign(const std::string &X, const LinearExpr &E) {
       return;
     unsigned I = ensureVar(X);
     unsigned N = static_cast<unsigned>(Vars.size());
-    DbmShared &B = mutableBlock();
-    for (unsigned J = 0; J < N; ++J) {
-      if (J == I)
-        continue;
-      B.M->set(I, J, dbmAdd(B.M->get(I, J), C));
-      B.M->set(J, I, dbmAdd(B.M->get(J, I), -C));
-    }
+    kernel::visit(*mutableBlock().M, [&](auto &M) {
+      for (unsigned J = 0; J < N; ++J) {
+        if (J == I)
+          continue;
+        M.set(I, J, dbmAdd(M.get(I, J), C));
+        M.set(J, I, dbmAdd(M.get(J, I), -C));
+      }
+    });
     // Uniform row/column shifts preserve closure.
     return;
   }
@@ -367,13 +378,14 @@ void ConstraintGraph::havoc(const std::string &X) {
     return;
   close();
   unsigned N = static_cast<unsigned>(Vars.size());
-  DbmShared &B = mutableBlock();
-  for (unsigned J = 0; J < N; ++J) {
-    if (J == *Slot)
-      continue;
-    B.M->set(*Slot, J, DbmInfinity);
-    B.M->set(J, *Slot, DbmInfinity);
-  }
+  kernel::visit(*mutableBlock().M, [&](auto &M) {
+    for (unsigned J = 0; J < N; ++J) {
+      if (J == *Slot)
+        continue;
+      M.set(*Slot, J, DbmInfinity);
+      M.set(J, *Slot, DbmInfinity);
+    }
+  });
   // Dropping all edges of one variable preserves closure.
 }
 
@@ -554,22 +566,23 @@ std::vector<LinearExpr> ConstraintGraph::equivalentForms(
     return Forms;
   close();
   auto [I, C] = *Base;
-  const DbmStorage &M = *Cow.ro().M;
   unsigned N = static_cast<unsigned>(Vars.size());
-  for (unsigned V = 0; V < N; ++V) {
-    if (V == I)
-      continue;
-    std::int64_t Up = M.get(V, I);
-    std::int64_t Down = M.get(I, V);
-    if (Up >= DbmInfinity || Down >= DbmInfinity || Up != -Down)
-      continue;
-    // v == v_I + Up, so v_I + C == v + (C - Up); when v is the zero
-    // variable the form is the constant C - Up.
-    if (V == zeroSlot())
-      Forms.push_back(LinearExpr(C - Up));
-    else
-      Forms.push_back(LinearExpr(Syms->name(Vars[V]), C - Up));
-  }
+  kernel::visit(*Cow.ro().M, [&](const auto &M) {
+    for (unsigned V = 0; V < N; ++V) {
+      if (V == I)
+        continue;
+      std::int64_t Up = M.get(V, I);
+      std::int64_t Down = M.get(I, V);
+      if (Up >= DbmInfinity || Down >= DbmInfinity || Up != -Down)
+        continue;
+      // v == v_I + Up, so v_I + C == v + (C - Up); when v is the zero
+      // variable the form is the constant C - Up.
+      if (V == zeroSlot())
+        Forms.push_back(LinearExpr(C - Up));
+      else
+        Forms.push_back(LinearExpr(Syms->name(Vars[V]), C - Up));
+    }
+  });
   return Forms;
 }
 
@@ -612,8 +625,12 @@ void ConstraintGraph::joinWith(const ConstraintGraph &O) {
     }
   }
 
+  // kernel::join writes every cell, so a dense output skips the fill.
   auto NewStorage = makeDbmStorage(Backend);
-  NewStorage->resize(static_cast<unsigned>(UnionIds.size()));
+  if (DenseDbmStorage *D = NewStorage->asDense())
+    D->resizeForOverwrite(static_cast<unsigned>(UnionIds.size()));
+  else
+    NewStorage->resize(static_cast<unsigned>(UnionIds.size()));
   kernel::join(*Cow.ro().M, MapThis, *O.Cow.ro().M, MapO, *NewStorage);
   Vars = std::move(UnionIds);
   auto NewBlock = std::make_shared<DbmShared>(std::move(NewStorage));
@@ -624,6 +641,41 @@ void ConstraintGraph::joinWith(const ConstraintGraph &O) {
   NewBlock->Feasible = true;
   NewBlock->reaccount();
   Cow.adopt(std::move(NewBlock));
+}
+
+/// The cell loop of widenWith over concrete backends: keeps each finite
+/// bound of \p Mine (N slots) that \p MO, seen through \p MapO, does not
+/// weaken, and raises the rest.
+template <typename MineT, typename TheirsT>
+static void widenCells(MineT &Mine, const TheirsT &MO,
+                       const kernel::SlotMap &MapO, unsigned N) {
+  for (unsigned I = 0; I < N; ++I) {
+    for (unsigned J = 0; J < N; ++J) {
+      if (I == J)
+        continue;
+      std::int64_t Bound = Mine.get(I, J);
+      if (Bound >= DbmInfinity)
+        continue;
+      std::int64_t Theirs = kernel::boundThrough(MO, MapO, I, J);
+      if (Theirs <= Bound)
+        continue;
+      // Widen with thresholds: rather than dropping straight to infinity,
+      // raise to the smallest stable small constant. This keeps loop-guard
+      // relations like `i <= np - 1` (difference -1) alive across
+      // widenings, which the paper's exchange-with-root invariant
+      // [i+1 .. np-1] depends on. The finite threshold chain preserves
+      // termination.
+      static constexpr std::int64_t Thresholds[] = {-1, 0, 1};
+      std::int64_t Widened = DbmInfinity;
+      for (std::int64_t T : Thresholds) {
+        if (Theirs <= T) {
+          Widened = T;
+          break;
+        }
+      }
+      Mine.set(I, J, Widened);
+    }
+  }
 }
 
 void ConstraintGraph::widenWith(const ConstraintGraph &O) {
@@ -643,34 +695,11 @@ void ConstraintGraph::widenWith(const ConstraintGraph &O) {
   for (unsigned I = 0; I < N; ++I)
     MapO[I] = slotIndex(O.slotForOther(*this, Vars[I]));
   DbmShared &B = mutableBlock();
-  const DbmStorage &MO = *O.Cow.ro().M;
-  for (unsigned I = 0; I < N; ++I) {
-    for (unsigned J = 0; J < N; ++J) {
-      if (I == J)
-        continue;
-      std::int64_t Mine = B.M->get(I, J);
-      if (Mine >= DbmInfinity)
-        continue;
-      std::int64_t Theirs = kernel::boundThrough(MO, MapO, I, J);
-      if (Theirs <= Mine)
-        continue;
-      // Widen with thresholds: rather than dropping straight to infinity,
-      // raise to the smallest stable small constant. This keeps loop-guard
-      // relations like `i <= np - 1` (difference -1) alive across
-      // widenings, which the paper's exchange-with-root invariant
-      // [i+1 .. np-1] depends on. The finite threshold chain preserves
-      // termination.
-      static constexpr std::int64_t Thresholds[] = {-1, 0, 1};
-      std::int64_t Widened = DbmInfinity;
-      for (std::int64_t T : Thresholds) {
-        if (Theirs <= T) {
-          Widened = T;
-          break;
-        }
-      }
-      B.M->set(I, J, Widened);
-    }
-  }
+  kernel::visit(*B.M, [&](auto &Mine) {
+    kernel::visit(*O.Cow.ro().M, [&](const auto &MO) {
+      widenCells(Mine, MO, MapO, N);
+    });
+  });
   // A widened matrix is not re-closed: closing could re-tighten dropped
   // bounds and break the finite-ascent guarantee.
   B.Closed = true;
@@ -716,20 +745,23 @@ bool ConstraintGraph::implies(const ConstraintGraph &O) const {
   kernel::SlotMap MapThis(O.Vars.size());
   for (unsigned I = 0; I < O.Vars.size(); ++I)
     MapThis[I] = slotIndex(slotForOther(O, O.Vars[I]));
-  const DbmStorage &MThis = *Cow.ro().M;
-  const DbmStorage &MO = *O.Cow.ro().M;
-  for (unsigned I = 0; I < O.Vars.size(); ++I) {
-    for (unsigned J = 0; J < O.Vars.size(); ++J) {
-      if (I == J)
-        continue;
-      std::int64_t Theirs = MO.get(I, J);
-      if (Theirs >= DbmInfinity)
-        continue;
-      if (kernel::boundThrough(MThis, MapThis, I, J) > Theirs)
-        return false;
-    }
-  }
-  return true;
+  unsigned ON = static_cast<unsigned>(O.Vars.size());
+  return kernel::visit(*Cow.ro().M, [&](const auto &MThis) {
+    return kernel::visit(*O.Cow.ro().M, [&](const auto &MO) {
+      for (unsigned I = 0; I < ON; ++I) {
+        for (unsigned J = 0; J < ON; ++J) {
+          if (I == J)
+            continue;
+          std::int64_t Theirs = MO.get(I, J);
+          if (Theirs >= DbmInfinity)
+            continue;
+          if (kernel::boundThrough(MThis, MapThis, I, J) > Theirs)
+            return false;
+        }
+      }
+      return true;
+    });
+  });
 }
 
 bool ConstraintGraph::equals(const ConstraintGraph &O) const {

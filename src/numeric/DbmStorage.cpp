@@ -32,38 +32,40 @@ void DbmShared::reaccount() {
   AccountedBytes = Now;
 }
 
-void DenseDbmStorage::resize(unsigned NewN) {
-  assert(NewN >= N && "DBM storage cannot shrink via resize");
-  if (NewN == N)
-    return;
-  if (NewN > Cap) {
-    // Re-layout into a geometrically grown buffer so the engine's
-    // one-variable-at-a-time growth costs one fill per variable, not one
-    // O(n^2) copy per variable.
-    unsigned NewCap = std::max(NewN, Cap ? Cap * 2 : 8u);
-    std::vector<std::int64_t, PoolAllocator<std::int64_t>> NewData(
-        static_cast<std::size_t>(NewCap) * NewCap, DbmInfinity);
-    for (unsigned I = 0; I < N; ++I)
-      std::copy_n(Data.data() + static_cast<std::size_t>(I) * Cap, N,
-                  NewData.data() + static_cast<std::size_t>(I) * NewCap);
-    Data = std::move(NewData);
-    Cap = NewCap;
-  } else {
-    // Within capacity: unconstrain the incoming cells (they may hold
-    // stale bounds from an earlier, wider use of this buffer).
-    for (unsigned I = 0; I < N; ++I)
-      std::fill_n(Data.data() + static_cast<std::size_t>(I) * Cap + N,
-                  NewN - N, DbmInfinity);
-    for (unsigned I = N; I < NewN; ++I)
-      std::fill_n(Data.data() + static_cast<std::size_t>(I) * Cap, NewN,
-                  DbmInfinity);
+namespace {
+
+/// The row stride of a buffer that must hold \p NewN variables and now
+/// has stride \p Cap: unchanged while it fits, otherwise grown
+/// geometrically so the engine's one-variable-at-a-time growth costs one
+/// fill per variable, not one O(n^2) re-layout per variable.
+unsigned grownCap(unsigned Cap, unsigned NewN) {
+  return NewN <= Cap ? Cap : std::max(NewN, Cap ? Cap * 2 : 8u);
+}
+
+/// Writes the \p N-variable block at \p Src grown to \p NewN variables
+/// into \p Dst: the N x N live cells are copied (in place when Src == Dst,
+/// which then must share the stride) and the incoming cells set to
+/// DbmInfinity. Nothing else is written.
+void growBlock(std::int64_t *Dst, std::size_t DstStride,
+               const std::int64_t *Src, std::size_t SrcStride, unsigned N,
+               unsigned NewN) {
+  for (unsigned I = 0; I < N; ++I) {
+    std::int64_t *Row = Dst + I * DstStride;
+    if (Src != Dst)
+      std::copy_n(Src + I * SrcStride, N, Row);
+    std::fill_n(Row + N, NewN - N, DbmInfinity);
   }
-  Occ.resize(NewN, 0);
-  N = NewN;
+  for (unsigned I = N; I < NewN; ++I)
+    std::fill_n(Dst + I * DstStride, NewN, DbmInfinity);
 }
 
 #ifndef NDEBUG
-static bool validVictims(const std::vector<unsigned> &Victims, unsigned N) {
+/// What debug builds write into dead cells. Finite and negative: read as a
+/// bound, it tightens whatever it reaches and can close a negative cycle,
+/// so the stray read surfaces as a wrong answer.
+constexpr std::int64_t DeadCellPoison = -1000003;
+
+bool validVictims(const std::vector<unsigned> &Victims, unsigned N) {
   return std::adjacent_find(Victims.begin(), Victims.end(),
                             std::greater_equal<unsigned>()) ==
              Victims.end() &&
@@ -71,10 +73,15 @@ static bool validVictims(const std::vector<unsigned> &Victims, unsigned N) {
 }
 #endif
 
-void DenseDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
-  assert(validVictims(Victims, N) && "victims must be sorted, unique slots");
-  if (Victims.empty())
-    return;
+/// Writes the survivors of the \p N-variable block at \p Src, without
+/// \p Victims (strictly increasing), into \p Dst of the same
+/// \p Stride, and recomputes each surviving row's occupancy byte exactly
+/// into \p Occ while the row is still in cache — the one point where
+/// stale bits are cleared. \p Dst may be \p Src: survivors then compact
+/// in place, each row and run moving to a position never past its source.
+void projectBlock(std::int64_t *Dst, const std::int64_t *Src,
+                  std::size_t Stride, unsigned N,
+                  const std::vector<unsigned> &Victims, std::uint8_t *Occ) {
   // The surviving slots, as maximal runs [first, second) between victims.
   std::vector<std::pair<unsigned, unsigned>> Keep;
   unsigned Begin = 0;
@@ -86,30 +93,113 @@ void DenseDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
   if (Begin < N)
     Keep.emplace_back(Begin, N);
 
-  // Compact in place: rows keep their stride and each surviving row is
-  // squeezed run by run into its new position, which never lies past its
-  // source. The occupancy bit of each compacted row is recomputed exactly
-  // while the row is still in cache — the one point where stale bits are
-  // cleared.
   unsigned NewN = N - static_cast<unsigned>(Victims.size());
   unsigned NI = 0;
   for (auto [RowBegin, RowEnd] : Keep) {
     for (unsigned I = RowBegin; I < RowEnd; ++I, ++NI) {
-      const std::int64_t *Src = Data.data() + static_cast<std::size_t>(I) * Cap;
-      std::int64_t *Dst = Data.data() + static_cast<std::size_t>(NI) * Cap;
+      const std::int64_t *SrcRow = Src + I * Stride;
+      std::int64_t *DstRow = Dst + NI * Stride;
       unsigned NJ = 0;
       for (auto [ColBegin, ColEnd] : Keep) {
-        std::memmove(Dst + NJ, Src + ColBegin,
+        std::memmove(DstRow + NJ, SrcRow + ColBegin,
                      (ColEnd - ColBegin) * sizeof(std::int64_t));
         NJ += ColEnd - ColBegin;
       }
       std::uint8_t Any = 0;
       for (unsigned J = 0; J < NewN; ++J)
-        Any |= static_cast<std::uint8_t>(J != NI && Dst[J] < DbmInfinity);
+        Any |= static_cast<std::uint8_t>(J != NI && DstRow[J] < DbmInfinity);
       Occ[NI] = Any;
     }
   }
+}
+
+} // namespace
+
+DenseDbmStorage::DenseDbmStorage(unsigned NewN, unsigned NewCap,
+                                 std::vector<std::uint8_t> NewOcc)
+    : N(NewN), Cap(NewCap), Data(static_cast<std::size_t>(NewCap) * NewCap),
+      Occ(std::move(NewOcc)) {}
+
+DenseDbmStorage::DenseDbmStorage(const DenseDbmStorage &O)
+    : DenseDbmStorage(O.N, O.Cap, O.Occ) {
+  growBlock(Data.data(), Cap, O.Data.data(), O.Cap, N, N);
+  poisonDeadCells();
+}
+
+void DenseDbmStorage::poisonDeadCells() {
+#ifndef NDEBUG
+  for (unsigned I = 0; I < N; ++I)
+    std::fill_n(Data.data() + static_cast<std::size_t>(I) * Cap + N, Cap - N,
+                DeadCellPoison);
+  std::fill(Data.begin() + static_cast<std::ptrdiff_t>(N) * Cap, Data.end(),
+            DeadCellPoison);
+#endif
+}
+
+void DenseDbmStorage::resize(unsigned NewN) {
+  assert(NewN >= N && "DBM storage cannot shrink via resize");
+  if (NewN == N)
+    return;
+  unsigned NewCap = grownCap(Cap, NewN);
+  if (NewCap == Cap) {
+    // Within capacity: the incoming cells may hold stale bounds from an
+    // earlier, wider use of this buffer, so they are overwritten.
+    growBlock(Data.data(), Cap, Data.data(), Cap, N, NewN);
+    Occ.resize(NewN, 0);
+    N = NewN;
+    return;
+  }
+  Buffer Fresh(static_cast<std::size_t>(NewCap) * NewCap);
+  growBlock(Fresh.data(), NewCap, Data.data(), Cap, N, NewN);
+  Data = std::move(Fresh);
+  Cap = NewCap;
+  Occ.resize(NewN, 0);
   N = NewN;
+  poisonDeadCells();
+}
+
+void DenseDbmStorage::resizeForOverwrite(unsigned NewN) {
+  assert(N == 0 && Cap == 0 && "only an empty storage is sized for overwrite");
+  Cap = grownCap(0, NewN);
+  Data = Buffer(static_cast<std::size_t>(Cap) * Cap);
+  Occ.resize(NewN, 0);
+  poisonDeadCells(); // N is still 0: every cell is dead until written.
+  N = NewN;
+}
+
+std::unique_ptr<DbmStorage> DenseDbmStorage::grownClone(unsigned NewN) const {
+  assert(NewN >= N && "DBM storage cannot shrink via resize");
+  // The occupancy bytes are copied and then grown, as in clone() followed
+  // by resize(), so byteSize() — and the budget's peak — is unchanged.
+  std::vector<std::uint8_t> NewOcc = Occ;
+  NewOcc.resize(NewN, 0);
+  std::unique_ptr<DenseDbmStorage> Copy(
+      new DenseDbmStorage(NewN, grownCap(Cap, NewN), std::move(NewOcc)));
+  growBlock(Copy->Data.data(), Copy->Cap, Data.data(), Cap, N, NewN);
+  Copy->poisonDeadCells();
+  return Copy;
+}
+
+std::unique_ptr<DbmStorage>
+DenseDbmStorage::projectedClone(const std::vector<unsigned> &Victims) const {
+  assert(validVictims(Victims, N) && "victims must be sorted, unique slots");
+  unsigned NewN = N - static_cast<unsigned>(Victims.size());
+  // Same stride, and occupancy storage sized as a clone's, so byteSize()
+  // matches clone() followed by removeVars().
+  std::unique_ptr<DenseDbmStorage> Copy(new DenseDbmStorage(NewN, Cap, Occ));
+  projectBlock(Copy->Data.data(), Data.data(), Cap, N, Victims,
+               Copy->Occ.data());
+  Copy->Occ.resize(NewN);
+  Copy->poisonDeadCells();
+  return Copy;
+}
+
+void DenseDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
+  assert(validVictims(Victims, N) && "victims must be sorted, unique slots");
+  if (Victims.empty())
+    return;
+  projectBlock(Data.data(), Data.data(), Cap, N, Victims, Occ.data());
+  N -= static_cast<unsigned>(Victims.size());
   Occ.resize(N);
 }
 
@@ -139,17 +229,14 @@ void MapDbmStorage::removeVars(const std::vector<unsigned> &Victims) {
   N -= static_cast<unsigned>(Victims.size());
 }
 
-bool CowDbm::detach() {
-  if (B.use_count() == 1)
-    return false;
-  auto Fresh = std::make_shared<DbmShared>(B->M->clone());
+void CowDbm::adoptPrivate(std::unique_ptr<DbmStorage> M) {
+  auto Fresh = std::make_shared<DbmShared>(std::move(M));
   Fresh->Closed = B->Closed;
   Fresh->Feasible = B->Feasible;
   Fresh->PendingEdge = B->PendingEdge;
   Fresh->EverClosed = B->EverClosed;
   Fresh->reaccount();
   B = std::move(Fresh);
-  return true;
 }
 
 namespace {

@@ -69,6 +69,24 @@ public:
   /// original order.
   virtual void removeVars(const std::vector<unsigned> &Victims) = 0;
 
+  /// A copy grown to \p N variables: clone() then resize(N), fused by
+  /// backends that can copy and grow in one pass.
+  virtual std::unique_ptr<DbmStorage> grownClone(unsigned N) const {
+    std::unique_ptr<DbmStorage> Copy = clone();
+    Copy->resize(N);
+    return Copy;
+  }
+
+  /// A copy without the variables at \p Victims: clone() then
+  /// removeVars(Victims), fused by backends that can project while they
+  /// copy.
+  virtual std::unique_ptr<DbmStorage>
+  projectedClone(const std::vector<unsigned> &Victims) const {
+    std::unique_ptr<DbmStorage> Copy = clone();
+    Copy->removeVars(Victims);
+    return Copy;
+  }
+
   /// Approximate heap bytes held by this matrix, for the AnalysisBudget
   /// memory ceiling.
   virtual std::uint64_t byteSize() const = 0;
@@ -98,8 +116,27 @@ public:
 /// never clears — writing DbmInfinity over a bound leaves the bit set).
 /// Closure preserves it without maintenance because min-plus updates only
 /// ever write finite bounds into rows that already had one.
+///
+/// Dead-cell contract: only the live size() x size() block is meaningful.
+/// Cells past it (columns >= size() of live rows, and rows >= size()) are
+/// unspecified — fresh buffers leave them unwritten and recycled ones hold
+/// stale bounds — and nothing reads them: growth overwrites every incoming
+/// cell before the block takes it in. So copies move only the live block:
+/// the copy constructor, grownClone() (copy and grow, the fused detach of
+/// ConstraintGraph::ensureSlot) and projectedClone() (copy only the
+/// survivors, the fused detach of a projection). Debug builds fill the
+/// dead cells of every fresh buffer with a finite poison bound, so a
+/// kernel that reads past size() derives a wrong bound that the map
+/// backend, as oracle, exposes.
 class DenseDbmStorage final : public DbmStorage {
 public:
+  DenseDbmStorage() = default;
+  /// Copies the live block into a buffer of the same capacity.
+  DenseDbmStorage(const DenseDbmStorage &O);
+  DenseDbmStorage(DenseDbmStorage &&) = default;
+  DenseDbmStorage &operator=(const DenseDbmStorage &) = delete;
+  DenseDbmStorage &operator=(DenseDbmStorage &&) = default;
+
   std::int64_t get(unsigned I, unsigned J) const override {
     return Data[static_cast<std::size_t>(I) * Cap + J];
   }
@@ -114,9 +151,16 @@ public:
     return std::make_unique<DenseDbmStorage>(*this);
   }
   void removeVars(const std::vector<unsigned> &Victims) override;
+  std::unique_ptr<DbmStorage> grownClone(unsigned NewN) const override;
+  std::unique_ptr<DbmStorage>
+  projectedClone(const std::vector<unsigned> &Victims) const override;
   std::uint64_t byteSize() const override {
     return Data.capacity() * sizeof(std::int64_t) + Occ.capacity();
   }
+
+  /// Grows an empty storage to \p NewN variables without writing a cell:
+  /// the caller must set every cell of the live block (kernel::join does).
+  void resizeForOverwrite(unsigned NewN);
 
   DenseDbmStorage *asDense() override { return this; }
   const DenseDbmStorage *asDense() const override { return this; }
@@ -141,9 +185,20 @@ public:
   std::uint8_t *rowOccupancy() { return Occ.data(); }
 
 private:
+  using Buffer = std::vector<std::int64_t, PoolAllocator<std::int64_t>>;
+
+  /// \p NewN variables over a fresh, unwritten \p NewCap x \p NewCap
+  /// buffer, with occupancy bytes \p NewOcc.
+  DenseDbmStorage(unsigned NewN, unsigned NewCap,
+                  std::vector<std::uint8_t> NewOcc);
+
+  /// Fills the cells outside the live block with a finite poison bound in
+  /// debug builds (the dead-cell contract's check); a no-op otherwise.
+  void poisonDeadCells();
+
   unsigned N = 0;   ///< Logical variable count.
   unsigned Cap = 0; ///< Row stride; Data holds Cap * Cap elements.
-  std::vector<std::int64_t, PoolAllocator<std::int64_t>> Data;
+  Buffer Data;
   std::vector<std::uint8_t> Occ; ///< N entries.
 };
 
@@ -257,7 +312,22 @@ public:
 
   /// Mutable access for state-changing operations: clones the block first
   /// when it is shared. Returns true when a clone (detach) happened.
-  bool detach();
+  bool detach() {
+    return detachAs([](const DbmStorage &M) { return M.clone(); });
+  }
+
+  /// detach() with a fused copy: when the block is shared, its private
+  /// replacement holds \p Copy(matrix) — a copy with the caller's
+  /// mutation already applied (DbmStorage::grownClone, projectedClone) —
+  /// so the live cells move once. When the block is not shared nothing
+  /// happens and the caller mutates in place. Returns true when a detach
+  /// happened.
+  template <typename CopyFn> bool detachAs(CopyFn &&Copy) {
+    if (B.use_count() == 1)
+      return false;
+    adoptPrivate(Copy(*B->M));
+    return true;
+  }
 
   /// Mutable block for detach-free writes. Only valid for operations that
   /// preserve the represented constraint set (transitive closure) — every
@@ -279,6 +349,10 @@ public:
   const std::shared_ptr<DbmShared> &block() const { return B; }
 
 private:
+  /// Points this handle at a new, unshared block holding \p M and the
+  /// current block's closure bookkeeping.
+  void adoptPrivate(std::unique_ptr<DbmStorage> M);
+
   mutable std::shared_ptr<DbmShared> B;
 };
 

@@ -65,18 +65,7 @@ class Engine {
 public:
   Engine(const Cfg &Graph, const AnalysisOptions &Opts, StatsRegistry *Stats)
       : Graph(Graph), Opts(Opts), Stats(Stats), Loops(Graph),
-        HsmMemo(Stats) {
-    for (const CfgNode &N : Graph.nodes())
-      if (N.Kind == CfgNodeKind::Assign || N.Kind == CfgNodeKind::Recv ||
-          N.Kind == CfgNodeKind::Irecv)
-        AssignedVars.insert(N.Var);
-    // Resolve every wait/waitall statically once: which posting it
-    // completes and whether it behaves as a no-op, a receive, or is
-    // beyond the abstraction (degrades to Top when reached).
-    RequestInfo Requests = RequestInfo::compute(Graph);
-    for (const CfgNode &N : Graph.nodes())
-      if (N.isWaitOp())
-        WaitPlans.emplace(N.Id, Requests.resolveWait(N.Id));
+        HsmMemo(Stats), Facts(GraphFacts::compute(Graph)) {
     setupReplay();
   }
 
@@ -146,7 +135,7 @@ private:
   }
 
   StepInputs stepInputs() const {
-    return {Graph, Opts, AssignedVars, WaitPlans, HsmMemo};
+    return {Graph, Opts, Facts.AssignedVars, Facts.WaitPlans, HsmMemo};
   }
 
   std::uint32_t internConfig(const std::string &Key);
@@ -167,9 +156,7 @@ private:
   /// members may hand it out. Freed with the engine, so nothing it holds
   /// outlives the run.
   mutable HsmMatchMemo HsmMemo;
-  std::set<std::string> AssignedVars;
-  /// Static wait resolution, one entry per wait/waitall node.
-  std::map<CfgNodeId, WaitResolution> WaitPlans;
+  GraphFacts Facts;
   /// Interned configuration keys -> dense ids into Configs.
   std::unordered_map<std::string, std::uint32_t> ConfigIds;
   std::vector<ConfigEntry> Configs;
@@ -204,7 +191,7 @@ private:
 };
 
 /// Validates the seed (if any) and prepares capture. Runs once, from the
-/// constructor, after AssignedVars/WaitPlans are computed.
+/// constructor, after Facts are computed.
 void Engine::setupReplay() {
   // Limit-bounded runs neither replay nor capture: a deadline makes the
   // exploration prefix nondeterministic, which is exactly what a trace

@@ -120,25 +120,16 @@ std::string SeedValidator::validate(const StepInputs &In,
   // variable set (PcfgState::scopedVar); recorded states are only
   // meaningful when that set is unchanged.
   const Cfg &Old = *Seed.PriorGraph;
-  std::set<std::string> OldAssigned;
-  for (const CfgNode &N : Old.nodes())
-    if (N.Kind == CfgNodeKind::Assign || N.Kind == CfgNodeKind::Recv ||
-        N.Kind == CfgNodeKind::Irecv)
-      OldAssigned.insert(N.Var);
-  if (OldAssigned != In.AssignedVars)
+  GraphFacts OldFacts = GraphFacts::compute(Old);
+  if (OldFacts.AssignedVars != In.AssignedVars)
     return "assigned-variable set changed";
 
   // Per-node structural diff over the common id range.
   LoopInfo OldLoops(Old);
-  RequestInfo OldRequests = RequestInfo::compute(Old);
-  std::map<CfgNodeId, WaitResolution> OldPlans;
-  for (const CfgNode &N : Old.nodes())
-    if (N.isWaitOp())
-      OldPlans.emplace(N.Id, OldRequests.resolveWait(N.Id));
   Ncommon = static_cast<CfgNodeId>(std::min(Old.size(), Graph.size()));
   Clean.assign(Ncommon, 0);
   for (CfgNodeId N = 0; N < Ncommon; ++N)
-    Clean[N] = nodeSignature(Old, OldLoops, OldPlans, N) ==
+    Clean[N] = nodeSignature(Old, OldLoops, OldFacts.WaitPlans, N) ==
                nodeSignature(Graph, Loops, In.WaitPlans, N);
 
   // Safe[] greatest fixpoint: a stepped set at node n macro-advances

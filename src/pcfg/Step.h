@@ -110,6 +110,19 @@ public:
   std::vector<TraceStep> Steps;
 };
 
+/// The step inputs that depend on the graph alone. Computed once per run
+/// for the engine, and for the seed's graph by replay validation.
+struct GraphFacts {
+  /// Variables assigned anywhere in the program (PcfgState::scopedVar).
+  std::set<std::string> AssignedVars;
+  /// Static wait resolution, one entry per wait/waitall node: which
+  /// posting it completes and whether it behaves as a no-op, a receive, or
+  /// is beyond the abstraction (degrades to Top when reached).
+  std::map<CfgNodeId, WaitResolution> WaitPlans;
+
+  static GraphFacts compute(const Cfg &Graph);
+};
+
 /// The read-only inputs every step of one run shares. The engine owns
 /// all of them for the whole run.
 struct StepInputs {

@@ -29,6 +29,19 @@
 
 using namespace csdf;
 
+GraphFacts GraphFacts::compute(const Cfg &Graph) {
+  GraphFacts Facts;
+  for (const CfgNode &N : Graph.nodes())
+    if (N.Kind == CfgNodeKind::Assign || N.Kind == CfgNodeKind::Recv ||
+        N.Kind == CfgNodeKind::Irecv)
+      Facts.AssignedVars.insert(N.Var);
+  RequestInfo Requests = RequestInfo::compute(Graph);
+  for (const CfgNode &N : Graph.nodes())
+    if (N.isWaitOp())
+      Facts.WaitPlans.emplace(N.Id, Requests.resolveWait(N.Id));
+  return Facts;
+}
+
 namespace {
 
 /// One target piece when a process set splits.

@@ -29,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <utility>
 
 namespace csdf {
 
@@ -60,6 +62,17 @@ template <typename T> struct PoolAllocator {
   }
   void deallocate(T *P, std::size_t N) noexcept {
     arenaRelease(P, N * sizeof(T));
+  }
+
+  /// Default-initializes rather than value-initializes, so a container
+  /// sized to N trivially constructible elements leaves them unwritten
+  /// instead of zero-filling them: DenseDbmStorage writes every cell of a
+  /// fresh matrix before it reads it.
+  template <typename U> void construct(U *P) {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args> void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
   }
 
   template <typename U> bool operator==(const PoolAllocator<U> &) const {

@@ -106,8 +106,9 @@ TEST(RequestOptionsTest, BadSharedFlagValuesFailLoudly) {
     int I = 0;
     api::ArgStatus St = api::parseSharedOption(
         static_cast<int>(Argv.size()), Argv.data(), I, Opts, Error);
-    if (St == api::ArgStatus::Error)
+    if (St == api::ArgStatus::Error) {
       EXPECT_FALSE(Error.empty());
+    }
     return St;
   };
   EXPECT_EQ(Try({"--client", "bogus"}), api::ArgStatus::Error);
@@ -364,9 +365,11 @@ TEST(AnalyzerTest, LintReportsFiltersAndPromotes) {
   // --Werror promotes the warning.
   Req.Werror = true;
   R = An.lint(Req);
-  for (const Diagnostic &D : R.Diagnostics)
-    if (D.Pass == "dead-store")
+  for (const Diagnostic &D : R.Diagnostics) {
+    if (D.Pass == "dead-store") {
       EXPECT_EQ(D.Sev, DiagSeverity::Error);
+    }
+  }
 
   // min-severity=error without promotion drops it; exit goes clean.
   Req.Werror = false;

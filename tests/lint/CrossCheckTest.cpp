@@ -117,12 +117,13 @@ TEST(CrossCheck, InterpreterOutcomeConsistentWithLintVerdict) {
             << "false positive '" << Pass << "' on a dynamically clean run";
       // The pCFG-bridge findings are only held to that standard when the
       // analysis completed; under Top its candidates are best-effort.
-      if (!hasRule(Diags, "analysis-top"))
+      if (!hasRule(Diags, "analysis-top")) {
         for (const char *Pass : {"message-leak", "possible-deadlock",
                                  "tag-mismatch", "match-nondet"})
           EXPECT_FALSE(hasRule(Diags, Pass))
               << "false positive '" << Pass
               << "' on a dynamically clean run with a complete analysis";
+      }
       continue;
     }
 
@@ -133,20 +134,26 @@ TEST(CrossCheck, InterpreterOutcomeConsistentWithLintVerdict) {
 
     // Evidence-directed mapping: each observed bug class implies its rule.
     if (Run.Status == RunStatus::EvalError) {
-      if (Run.Error.find("buffer race") != std::string::npos)
+      if (Run.Error.find("buffer race") != std::string::npos) {
         EXPECT_TRUE(hasRule(Diags, "buffer-race")) << Run.Error;
-      if (Run.Error.find("double wait") != std::string::npos)
+      }
+      if (Run.Error.find("double wait") != std::string::npos) {
         EXPECT_TRUE(hasRule(Diags, "double-wait")) << Run.Error;
-      if (Run.Error.find("never-posted") != std::string::npos)
+      }
+      if (Run.Error.find("never-posted") != std::string::npos) {
         EXPECT_TRUE(hasRule(Diags, "wait-uninit")) << Run.Error;
+      }
     }
     if (Run.finished()) {
-      if (!Run.RequestLeaks.empty())
+      if (!Run.RequestLeaks.empty()) {
         EXPECT_TRUE(hasRule(Diags, "request-leak"));
-      if (!Run.Leaks.empty())
+      }
+      if (!Run.Leaks.empty()) {
         EXPECT_TRUE(hasRule(Diags, "message-leak"));
-      if (!Run.NondetWitnesses.empty())
+      }
+      if (!Run.NondetWitnesses.empty()) {
         EXPECT_TRUE(hasRule(Diags, "match-nondet"));
+      }
     }
     if (Run.Status == RunStatus::Deadlock) {
       bool Explained = false;

@@ -538,6 +538,193 @@ TEST_P(DbmPropertyTest, JoinAgreesAcrossBackendsAndTables) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Copy-on-write: fused copies on shared handles
+//===----------------------------------------------------------------------===//
+
+/// Builds and drops a dense graph with a finite bound between every pair
+/// of its \p NumVars variables, so the thread's arena holds its buffers,
+/// stale bounds and all, for the next dense matrices of those sizes.
+void leaveWideBuffersBehind(int NumVars) {
+  ConstraintGraph Wide(DbmBackend::Dense);
+  for (int A = 0; A < NumVars; ++A)
+    for (int B = 0; B < NumVars; ++B)
+      if (A != B)
+        Wide.addLE("wide" + std::to_string(A), "wide" + std::to_string(B),
+                   A - B + 1);
+  Wide.close();
+}
+
+TEST_P(DbmPropertyTest, SharedGrowthMatchesMapBackend) {
+  // Adding a variable through a handle that shares its matrix copies and
+  // grows the matrix in one pass (DbmStorage::grownClone). Every growth
+  // here happens on a freshly shared handle, on cold and warm matrices,
+  // within and past the dense row stride, over buffers recycled from a
+  // wider graph. The dense results must equal the map backend's, and so
+  // must every handle the grown graph was shared with: growth leaves the
+  // sharer's matrix untouched.
+  Rng R(GetParam() + 1200);
+  for (int Trial = 0; Trial < 12; ++Trial) {
+    const int NumVars = static_cast<int>(R.range(1, 10));
+    const int Extra = static_cast<int>(R.range(1, 20));
+    const bool Warm = Trial % 2 == 1;
+    const Rng Start = R;
+    std::vector<std::string> Images[2];
+    for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+      leaveWideBuffersBehind(24);
+      Rng Again = Start;
+      ConstraintGraph G = projectionGraph(Again, NumVars, Backend, false);
+      if (Warm)
+        G.close();
+      std::vector<ConstraintGraph> Sharers;
+      for (int E = 0; E < Extra; ++E) {
+        Sharers.push_back(G);
+        ASSERT_TRUE(G.sharesStorage());
+        std::string New = "w" + std::to_string(E);
+        if (Again.range(0, 1) == 0)
+          G.addLE(New, varName(static_cast<int>(Again.range(0, NumVars - 1))),
+                  Again.range(-1, 6));
+        else
+          G.addUpperBound(New, Again.range(0, 9));
+        EXPECT_FALSE(G.sharesStorage());
+      }
+      std::vector<std::string> &Image =
+          Images[Backend == DbmBackend::Dense ? 0 : 1];
+      Image.push_back(G.str());
+      for (const ConstraintGraph &S : Sharers)
+        Image.push_back(S.str());
+    }
+    EXPECT_EQ(Images[0], Images[1]) << "trial " << Trial;
+    R.next();
+  }
+}
+
+TEST_P(DbmPropertyTest, SharedProjectionMatchesMapBackend) {
+  // Projecting through a handle that shares its matrix copies only the
+  // survivors (DbmStorage::projectedClone). Victim sets cover the first
+  // and last slots, every variable but the zero slot, and random subsets,
+  // on feasible and infeasible graphs over recycled buffers; the results
+  // must equal the map backend's and the sharer must keep its matrix.
+  Rng R(GetParam() + 1300);
+  for (int Trial = 0; Trial < 10; ++Trial) {
+    const int NumVars = static_cast<int>(R.range(2, 20));
+    const bool Contradict = Trial % 5 == 4;
+    const Rng Start = R;
+    std::vector<std::string> Images[2];
+    for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+      leaveWideBuffersBehind(24);
+      Rng Again = Start;
+      ConstraintGraph G = projectionGraph(Again, NumVars, Backend, Contradict);
+      std::vector<std::string> &Image =
+          Images[Backend == DbmBackend::Dense ? 0 : 1];
+      for (const std::vector<std::string> &Victims :
+           victimSets(Again, G.varNames(), NumVars)) {
+        ConstraintGraph P = G;
+        P.removeVars(Victims);
+        Image.push_back(P.str());
+        for (const std::string &Name : P.varNames())
+          Image.push_back(Name);
+        Image.push_back(G.str());
+      }
+    }
+    EXPECT_EQ(Images[0], Images[1]) << "trial " << Trial;
+    R.next();
+  }
+}
+
+/// Every cell of \p A equals the cell of \p B.
+void expectSameCells(const DbmStorage &A, const DbmStorage &B,
+                     const std::string &What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  for (unsigned I = 0; I < A.size(); ++I)
+    for (unsigned J = 0; J < A.size(); ++J)
+      ASSERT_EQ(A.get(I, J), B.get(I, J))
+          << What << " entry (" << I << ", " << J << ")";
+}
+
+/// Whether each row's occupancy byte keeps the bitmap contract: never
+/// clear on a row with a finite off-diagonal bound, and with \p Exact
+/// never set on one without.
+void expectOccupancy(const DenseDbmStorage &D, bool Exact,
+                     const std::string &What) {
+  for (unsigned I = 0; I < D.size(); ++I) {
+    bool AnyFinite = false;
+    for (unsigned J = 0; J < D.size(); ++J)
+      AnyFinite |= I != J && D.get(I, J) < DbmInfinity;
+    if (Exact) {
+      EXPECT_EQ(D.rowOccupancy()[I] != 0, AnyFinite) << What << " row " << I;
+    } else {
+      EXPECT_TRUE(D.rowOccupancy()[I] || !AnyFinite) << What << " row " << I;
+    }
+  }
+}
+
+TEST_P(DbmPropertyTest, FusedClonesMatchCloneThenMutate) {
+  // Storage level: the dense copy constructor, grownClone and
+  // projectedClone equal the map backend's copies cell for cell, keep the
+  // occupancy contract, and leave the source untouched; the fused copies
+  // hold exactly the bytes of clone() followed by the mutation (the
+  // budget's peak depends on it). Half the sources were projected first,
+  // so their stride is wider than their block and stale bounds sit right
+  // past it.
+  Rng R(GetParam() + 1400);
+  for (int Trial = 0; Trial < 30; ++Trial) {
+    unsigned N = static_cast<unsigned>(R.range(1, 20));
+    DenseDbmStorage D;
+    MapDbmStorage M;
+    D.resize(N);
+    M.resize(N);
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = 0; J < N; ++J) {
+        std::int64_t Bound = I == J              ? 0
+                             : R.range(0, 2) == 0 ? R.range(-4, 9)
+                                                  : DbmInfinity;
+        D.set(I, J, Bound);
+        M.set(I, J, Bound);
+      }
+    if (Trial % 2 == 0 && N > 1) {
+      std::vector<unsigned> Shrink;
+      for (unsigned I = 0; I < N; ++I)
+        if (R.range(0, 2) == 0)
+          Shrink.push_back(I);
+      D.removeVars(Shrink);
+      M.removeVars(Shrink);
+      N = D.size();
+    }
+    const std::vector<std::int64_t> Before = dbmSnapshot(D);
+    const std::uint64_t Bytes = D.byteSize();
+
+    DenseDbmStorage Copy = D;
+    expectSameCells(Copy, M, "copy");
+
+    const unsigned NewN = N + static_cast<unsigned>(R.range(0, 20));
+    std::unique_ptr<DbmStorage> Grown = D.grownClone(NewN);
+    expectSameCells(*Grown, *M.grownClone(NewN), "grown");
+    expectOccupancy(*Grown->asDense(), false, "grown");
+    std::unique_ptr<DbmStorage> Ref = D.clone();
+    Ref->resize(NewN);
+    EXPECT_EQ(Grown->byteSize(), Ref->byteSize());
+
+    std::vector<std::vector<unsigned>> VictimSets = {{0}, {N - 1}, {}};
+    for (unsigned I = 1; I < N; ++I)
+      VictimSets.back().push_back(I); // All but the zero slot.
+    VictimSets.emplace_back();
+    for (unsigned I = 0; I < N; ++I)
+      if (R.range(0, 1) == 0)
+        VictimSets.back().push_back(I);
+    for (const std::vector<unsigned> &Victims : VictimSets) {
+      std::unique_ptr<DbmStorage> Projected = D.projectedClone(Victims);
+      expectSameCells(*Projected, *M.projectedClone(Victims), "projected");
+      expectOccupancy(*Projected->asDense(), true, "projected");
+      std::unique_ptr<DbmStorage> RefP = D.clone();
+      RefP->removeVars(Victims);
+      EXPECT_EQ(Projected->byteSize(), RefP->byteSize());
+    }
+    EXPECT_EQ(dbmSnapshot(D), Before) << "a copy changed its source";
+    EXPECT_EQ(D.byteSize(), Bytes);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DbmPropertyTest,
                          ::testing::Values(1, 7, 42, 1234, 987654));
 
