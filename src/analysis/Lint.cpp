@@ -349,22 +349,22 @@ void lintPartnerBounds(const Cfg &Graph, const LintOptions &Opts,
   Cg.addLowerBound("id", 0);
   Cg.addLE("id", "np", -1);
   if (Opts.Analysis.FixedNp > 0)
-    Cg.addEQ(LinearExpr("np", 0), LinearExpr(Opts.Analysis.FixedNp));
+    Cg.addEQ(Cg.form("np"), LinearExpr(Opts.Analysis.FixedNp));
   for (const auto &[Name, Value] : Opts.Analysis.Params)
-    Cg.addEQ(LinearExpr(Name, 0), LinearExpr(Value));
+    Cg.addEQ(Cg.form(Name), LinearExpr(Value));
   if (!Cg.isFeasible())
     return; // Contradictory options: everything would be vacuously provable.
 
-  // The two bound forms are loop-invariant: resolve them to VarId slots
-  // once, so the per-node queries stay off the string path. The loop below
-  // only queries (never mutates), which keeps the resolved forms valid.
+  // The two bound forms are loop-invariant: resolve them to slots once.
+  // The loop below only queries (never mutates), which keeps the resolved
+  // forms valid.
   const ConstraintGraph::ResolvedForm MinusOne = Cg.resolve(LinearExpr(-1));
-  const ConstraintGraph::ResolvedForm Np = Cg.resolve(LinearExpr("np", 0));
+  const ConstraintGraph::ResolvedForm Np = Cg.resolve(Cg.form("np"));
 
   for (const CfgNode &Node : Graph.nodes()) {
     if (!Node.isCommOp() || !Node.Partner)
       continue;
-    auto L = LinearExpr::fromExpr(Node.Partner);
+    auto L = LinearExpr::fromExpr(Node.Partner, *Cg.symbolsPtr());
     if (!L)
       continue; // Outside the linear fragment: nothing provable here.
     ConstraintGraph::ResolvedForm Partner = Cg.resolve(*L);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <tuple>
 
 using namespace csdf;
 
@@ -36,8 +37,8 @@ std::vector<TraceEvent> RunResult::canonicalTrace() const {
   std::vector<TraceEvent> Sorted = Trace;
   std::sort(Sorted.begin(), Sorted.end(),
             [](const TraceEvent &A, const TraceEvent &B) {
-              return std::tuple(A.Sender, A.Receiver, A.ChannelSeq) <
-                     std::tuple(B.Sender, B.Receiver, B.ChannelSeq);
+              return std::tie(A.Sender, A.Receiver, A.ChannelSeq) <
+                     std::tie(B.Sender, B.Receiver, B.ChannelSeq);
             });
   return Sorted;
 }

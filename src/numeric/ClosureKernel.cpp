@@ -79,8 +79,10 @@ namespace {
 /// where (+) is dbmAdd with BIK known finite. The select on
 /// RowK[j] >= DbmInfinity reproduces dbmAdd's absorbing infinity exactly
 /// (a plain add would let a negative BIK pull infinity back into the
-/// finite range). Compare/select/min are all lane-wise ops, so with
-/// restrict-qualified pointers the loop auto-vectorizes.
+/// finite range), and the clamp at DbmNegFloor its floor (negative cycles
+/// would otherwise double bounds until they overflow). Compare/select/min
+/// are all lane-wise ops, so with restrict-qualified pointers the loop
+/// auto-vectorizes.
 ///
 /// Callers must guarantee RowI != RowK: every call site either skips the
 /// aliasing iteration (it is provably a no-op on feasible systems) or
@@ -91,6 +93,7 @@ inline void minPlusRow(std::int64_t *__restrict RowI,
   for (unsigned J = Lo; J < Hi; ++J) { // CSDF-VEC-ANCHOR
     std::int64_t KJ = RowK[J];
     std::int64_t T = BIK + KJ;
+    T = T < DbmNegFloor ? DbmNegFloor : T;
     T = KJ >= DbmInfinity ? DbmInfinity : T;
     RowI[J] = RowI[J] < T ? RowI[J] : T;
   }
@@ -194,7 +197,7 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
     std::int64_t AI = RowA[I];
     if (AI >= DbmInfinity)
       continue;
-    std::int64_t AIC = AI + C;
+    std::int64_t AIC = dbmAdd(AI, C);
     if (AIC >= DbmInfinity)
       continue; // dbmAdd saturates: nothing can improve through it.
     minPlusRow(RowA, RowJ, AIC, 0, N);

@@ -177,8 +177,12 @@ std::optional<unsigned> ConstraintGraph::findVar(const std::string &Name)
   auto Id = Syms->lookup(Name);
   if (!Id)
     return std::nullopt;
-  auto Slot = slotOf(*Id);
-  if (!Slot || *Slot == 0)
+  return varSlot(*Id);
+}
+
+std::optional<unsigned> ConstraintGraph::varSlot(VarId Id) const {
+  auto Slot = slotOf(Id);
+  if (!Slot || *Slot == zeroSlot())
     return std::nullopt;
   return Slot;
 }
@@ -242,16 +246,9 @@ void ConstraintGraph::renameVars(
 }
 
 void ConstraintGraph::renameNamespaces(const NamespaceMap &Map) {
-  // Target namespaces are interned on first use only.
-  std::vector<VarId> ToIds(Map.size(), InvalidVarId);
-  for (unsigned I = 1; I < Vars.size(); ++I) {
-    auto E = Map.find(Syms->name(Vars[I]));
-    if (!E)
-      continue;
-    if (ToIds[*E] == InvalidVarId)
-      ToIds[*E] = Syms->intern(Map.to(*E));
-    Vars[I] = Syms->renamed(Vars[I], ToIds[*E]);
-  }
+  NamespaceRenamer Rename(Map, *Syms);
+  for (unsigned I = 1; I < Vars.size(); ++I)
+    Vars[I] = Rename(Vars[I]);
   assertDistinct(Vars);
 }
 
@@ -281,14 +278,14 @@ std::pair<unsigned, std::int64_t> ConstraintGraph::encode(
     const LinearExpr &E) {
   if (E.isConstant())
     return {zeroSlot(), E.constant()};
-  return {ensureVar(E.var()), E.constant()};
+  return {ensureSlot(E.var()), E.constant()};
 }
 
 std::optional<std::pair<unsigned, std::int64_t>>
 ConstraintGraph::encodeConst(const LinearExpr &E) const {
   if (E.isConstant())
     return std::pair(zeroSlot(), E.constant());
-  auto Slot = findVar(E.var());
+  auto Slot = varSlot(E.var());
   if (!Slot)
     return std::nullopt;
   return std::pair(*Slot, E.constant());
@@ -346,8 +343,8 @@ void ConstraintGraph::addLowerBound(const std::string &Var, std::int64_t C) {
   addEdge(zeroSlot(), ensureVar(Var), -C);
 }
 
-void ConstraintGraph::assign(const std::string &X, const LinearExpr &E) {
-  if (E.hasVar() && E.var() == X) {
+void ConstraintGraph::assign(VarId X, const LinearExpr &E) {
+  if (E.var() == X) {
     // X := X + c — shift every bound that mentions X.
     std::int64_t C = E.constant();
     if (C == 0)
@@ -355,7 +352,7 @@ void ConstraintGraph::assign(const std::string &X, const LinearExpr &E) {
     close();
     if (!Cow.ro().Feasible)
       return;
-    unsigned I = ensureVar(X);
+    unsigned I = ensureSlot(X);
     unsigned N = static_cast<unsigned>(Vars.size());
     kernel::visit(*mutableBlock().M, [&](auto &M) {
       for (unsigned J = 0; J < N; ++J) {
@@ -368,22 +365,25 @@ void ConstraintGraph::assign(const std::string &X, const LinearExpr &E) {
     // Uniform row/column shifts preserve closure.
     return;
   }
-  havoc(X);
+  if (auto Slot = varSlot(X))
+    havocSlot(*Slot);
   addEQ(LinearExpr(X, 0), E);
 }
 
 void ConstraintGraph::havoc(const std::string &X) {
-  auto Slot = findVar(X);
-  if (!Slot)
-    return;
+  if (auto Slot = findVar(X))
+    havocSlot(*Slot);
+}
+
+void ConstraintGraph::havocSlot(unsigned Slot) {
   close();
   unsigned N = static_cast<unsigned>(Vars.size());
   kernel::visit(*mutableBlock().M, [&](auto &M) {
     for (unsigned J = 0; J < N; ++J) {
-      if (J == *Slot)
+      if (J == Slot)
         continue;
-      M.set(*Slot, J, DbmInfinity);
-      M.set(J, *Slot, DbmInfinity);
+      M.set(Slot, J, DbmInfinity);
+      M.set(J, Slot, DbmInfinity);
     }
   });
   // Dropping all edges of one variable preserves closure.
@@ -497,10 +497,8 @@ ConstraintGraph::ResolvedForm ConstraintGraph::resolve(
     R.Slot = zeroSlot();
     return R;
   }
-  // Intern even unknown variables: ids make the same-variable fast path an
-  // integer compare, and the shared table is append-only.
-  R.Id = Syms->intern(E.var());
-  if (auto Slot = slotOf(R.Id); Slot && *Slot != 0) {
+  R.Id = E.var();
+  if (auto Slot = varSlot(R.Id)) {
     R.Known = true;
     R.Slot = *Slot;
   }
@@ -545,7 +543,15 @@ std::optional<std::int64_t> ConstraintGraph::offsetBetween(
 
 std::optional<std::int64_t> ConstraintGraph::constValue(
     const std::string &Var) const {
-  auto Slot = findVar(Var);
+  return constValueAt(findVar(Var));
+}
+
+std::optional<std::int64_t> ConstraintGraph::constValue(VarId Var) const {
+  return constValueAt(varSlot(Var));
+}
+
+std::optional<std::int64_t> ConstraintGraph::constValueAt(
+    std::optional<unsigned> Slot) const {
   if (!Slot || !isFeasible())
     return std::nullopt;
   close();
@@ -556,9 +562,8 @@ std::optional<std::int64_t> ConstraintGraph::constValue(
   return std::nullopt;
 }
 
-std::vector<LinearExpr> ConstraintGraph::equivalentForms(
-    const LinearExpr &E) const {
-  std::vector<LinearExpr> Forms = {E};
+FormList ConstraintGraph::equivalentForms(const LinearExpr &E) const {
+  FormList Forms = {E};
   if (!isFeasible())
     return Forms;
   auto Base = encodeConst(E);
@@ -580,7 +585,7 @@ std::vector<LinearExpr> ConstraintGraph::equivalentForms(
       if (V == zeroSlot())
         Forms.push_back(LinearExpr(C - Up));
       else
-        Forms.push_back(LinearExpr(Syms->name(Vars[V]), C - Up));
+        Forms.push_back(LinearExpr(Vars[V], C - Up));
     }
   });
   return Forms;

@@ -142,6 +142,11 @@ public:
   /// Returns the matrix slot of \p Name if it exists.
   std::optional<unsigned> findVar(const std::string &Name) const;
 
+  /// The form `Name + C`, interning \p Name into this graph's table.
+  LinearExpr form(const std::string &Name, std::int64_t C = 0) const {
+    return LinearExpr(Syms->intern(Name), C);
+  }
+
   bool hasVar(const std::string &Name) const {
     return findVar(Name).has_value();
   }
@@ -216,8 +221,8 @@ public:
   /// Adds `<To>.<b> == <From>.<b>` for every variable `<From>.<b>`, in
   /// slot order, skipping anchor bases (`lo$`, ...) when \p SkipAnchors.
   /// Adds exactly the edges, in the order, that
-  /// `addEQ(LinearExpr("<To>.<b>", 0), LinearExpr("<From>.<b>", 0))` per
-  /// variable would: warm matrices repair each edge as it comes.
+  /// `addEQ(form("<To>.<b>"), form("<From>.<b>"))` per variable would:
+  /// warm matrices repair each edge as it comes.
   void copyNamespace(std::string_view From, const std::string &To,
                      bool SkipAnchors);
 
@@ -240,7 +245,10 @@ public:
 
   /// Transfer for `X := E` where E is `var + c` or `c`. Handles X := X + c
   /// exactly (bound shifting); otherwise havocs X and equates.
-  void assign(const std::string &X, const LinearExpr &E);
+  void assign(VarId X, const LinearExpr &E);
+  void assign(const std::string &X, const LinearExpr &E) {
+    assign(Syms->intern(X), E);
+  }
 
   /// Forgets everything known about \p X.
   void havoc(const std::string &X);
@@ -259,14 +267,13 @@ public:
   bool provesEQ(const LinearExpr &Lhs, const LinearExpr &Rhs) const;
 
   /// A `var + c` form resolved against this graph once, so repeated
-  /// queries skip the string path. Valid only while the graph's variable
+  /// queries skip the slot search. Valid only while the graph's variable
   /// set is unchanged (queries are fine; mutations invalidate it).
   struct ResolvedForm {
     /// Matrix slot (zero slot for constants); meaningful when Known.
     unsigned Slot = 0;
-    /// Interned id of the variable (InvalidVarId for constants). Set even
-    /// when the graph has no such variable, enabling the same-variable
-    /// fast path.
+    /// The form's variable (InvalidVarId for constants), set even when
+    /// the graph has no such variable: the same-variable fast path.
     VarId Id = InvalidVarId;
     std::int64_t C = 0;
     bool IsConst = false;
@@ -274,7 +281,7 @@ public:
     bool Known = false;
   };
 
-  /// Resolves \p E for repeated VarId-level queries.
+  /// Resolves \p E for repeated queries: a slot lookup, no interning.
   ResolvedForm resolve(const LinearExpr &E) const;
 
   /// `provesLE` over pre-resolved forms; identical semantics to the
@@ -292,11 +299,12 @@ public:
 
   /// If \p Var is pinned to a single value, returns it.
   std::optional<std::int64_t> constValue(const std::string &Var) const;
+  std::optional<std::int64_t> constValue(VarId Var) const;
 
-  /// All `var + c` forms provably equal to \p E (including E itself),
-  /// restricted to existing variables. Used to find alternative
-  /// representations of process-set bounds during widening.
-  std::vector<LinearExpr> equivalentForms(const LinearExpr &E) const;
+  /// All `var + c` forms provably equal to \p E (E itself first, then in
+  /// slot order), restricted to existing variables. Used to find
+  /// alternative representations of process-set bounds during widening.
+  FormList equivalentForms(const LinearExpr &E) const;
 
   //===--------------------------------------------------------------------===
   // Lattice operations
@@ -355,6 +363,9 @@ private:
   /// The matrix slot of \p Id in this graph, if present.
   std::optional<unsigned> slotOf(VarId Id) const;
 
+  /// slotOf for a program variable: never the zero slot.
+  std::optional<unsigned> varSlot(VarId Id) const;
+
   /// The matrix slot of \p Id, appending an unconstrained variable if
   /// needed.
   unsigned ensureSlot(VarId Id);
@@ -369,7 +380,14 @@ private:
   std::optional<std::pair<unsigned, std::int64_t>>
   encodeConst(const LinearExpr &E) const;
 
+  /// The pinned value of the variable at \p Slot, if any.
+  std::optional<std::int64_t> constValueAt(std::optional<unsigned> Slot)
+      const;
+
   void addEdge(unsigned I, unsigned J, std::int64_t C);
+
+  /// Drops every edge of the variable at \p Slot.
+  void havocSlot(unsigned Slot);
 
   /// Clones the shared block if needed before a mutation; bumps the
   /// cg.cow.detach counter when a real clone happened.

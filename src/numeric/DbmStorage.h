@@ -44,11 +44,20 @@ class DenseDbmStorage;
 inline constexpr std::int64_t DbmInfinity =
     std::numeric_limits<std::int64_t>::max() / 4;
 
-/// Saturating addition treating DbmInfinity as absorbing.
+/// The lowest bound kept. Only a negative cycle drives bounds this far
+/// down, and such a system is infeasible whatever its entries read, so
+/// clamping there keeps closure's repeated additions inside int64: every
+/// entry lies in [DbmNegFloor, DbmInfinity], and two of them sum without
+/// overflow.
+inline constexpr std::int64_t DbmNegFloor = -DbmInfinity;
+
+/// Saturating addition treating DbmInfinity as absorbing and clamping at
+/// DbmNegFloor.
 inline std::int64_t dbmAdd(std::int64_t A, std::int64_t B) {
   if (A >= DbmInfinity || B >= DbmInfinity)
     return DbmInfinity;
-  return A + B;
+  std::int64_t Sum = A + B;
+  return Sum < DbmNegFloor ? DbmNegFloor : Sum;
 }
 
 /// Abstract square matrix of bounds: entry (I, J) is the best known C with

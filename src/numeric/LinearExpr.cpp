@@ -11,15 +11,16 @@
 
 using namespace csdf;
 
-std::optional<LinearExpr> LinearExpr::fromExpr(const Expr *E) {
+std::optional<LinearExpr> LinearExpr::fromExpr(const Expr *E,
+                                               SymbolTable &Syms) {
   if (auto C = foldConstant(E))
     return LinearExpr(*C);
   if (const auto *V = dyn_cast<VarRefExpr>(E))
-    return LinearExpr(V->name(), 0);
+    return LinearExpr(Syms.intern(V->name()), 0);
   if (const auto *B = dyn_cast<BinaryExpr>(E)) {
     if (B->op() == BinaryOp::Add) {
-      auto L = fromExpr(B->lhs());
-      auto R = fromExpr(B->rhs());
+      auto L = fromExpr(B->lhs(), Syms);
+      auto R = fromExpr(B->rhs(), Syms);
       if (!L || !R)
         return std::nullopt;
       if (L->isConstant() && R->hasVar())
@@ -29,8 +30,8 @@ std::optional<LinearExpr> LinearExpr::fromExpr(const Expr *E) {
       return std::nullopt; // var + var is not linear-with-unit-coefficient.
     }
     if (B->op() == BinaryOp::Sub) {
-      auto L = fromExpr(B->lhs());
-      auto R = fromExpr(B->rhs());
+      auto L = fromExpr(B->lhs(), Syms);
+      auto R = fromExpr(B->rhs(), Syms);
       if (!L || !R || !R->isConstant())
         return std::nullopt;
       return L->plus(-R->constant());
@@ -38,7 +39,7 @@ std::optional<LinearExpr> LinearExpr::fromExpr(const Expr *E) {
   }
   if (const auto *U = dyn_cast<UnaryExpr>(E)) {
     if (U->op() == UnaryOp::Neg) {
-      auto Inner = fromExpr(U->operand());
+      auto Inner = fromExpr(U->operand(), Syms);
       if (Inner && Inner->isConstant())
         return LinearExpr(-Inner->constant());
     }
@@ -46,12 +47,13 @@ std::optional<LinearExpr> LinearExpr::fromExpr(const Expr *E) {
   return std::nullopt;
 }
 
-std::string LinearExpr::str() const {
-  if (!Var)
+std::string LinearExpr::str(const SymbolTable &Syms) const {
+  if (isConstant())
     return std::to_string(Const);
+  const std::string &Name = Syms.name(Var);
   if (Const == 0)
-    return *Var;
+    return Name;
   if (Const > 0)
-    return *Var + "+" + std::to_string(Const);
-  return *Var + std::to_string(Const);
+    return Name + "+" + std::to_string(Const);
+  return Name + std::to_string(Const);
 }

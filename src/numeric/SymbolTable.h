@@ -176,6 +176,31 @@ private:
   std::vector<Entry> Entries;
 };
 
+/// A NamespaceMap applied to interned ids. Each To namespace is interned
+/// on first use and each renamed variable comes from the
+/// SymbolTable::renamed memo, so renaming a variable seen before builds no
+/// name string.
+class NamespaceRenamer {
+public:
+  NamespaceRenamer(const NamespaceMap &Map, SymbolTable &Syms)
+      : Map(Map), Syms(Syms), ToIds(Map.size(), InvalidVarId) {}
+
+  /// \p Id renamed; unchanged when it lies in no From namespace.
+  VarId operator()(VarId Id) {
+    auto E = Map.find(Syms.name(Id));
+    if (!E)
+      return Id;
+    if (ToIds[*E] == InvalidVarId)
+      ToIds[*E] = Syms.intern(Map.to(*E));
+    return Syms.renamed(Id, ToIds[*E]);
+  }
+
+private:
+  const NamespaceMap &Map;
+  SymbolTable &Syms;
+  std::vector<VarId> ToIds;
+};
+
 } // namespace csdf
 
 #endif // CSDF_NUMERIC_SYMBOLTABLE_H

@@ -35,8 +35,8 @@ struct PrintFact {
   std::optional<std::int64_t> Value;
 
   bool operator<(const PrintFact &O) const {
-    return std::tuple(Node, SetRange, Value) <
-           std::tuple(O.Node, O.SetRange, O.Value);
+    return std::tie(Node, SetRange, Value) <
+           std::tie(O.Node, O.SetRange, O.Value);
   }
   bool operator==(const PrintFact &O) const {
     return Node == O.Node && SetRange == O.SetRange && Value == O.Value;
@@ -67,8 +67,8 @@ struct AnalysisBug {
   /// Deterministic reporting order: by source location, then kind, then
   /// node id, then detail text.
   friend bool operator<(const AnalysisBug &A, const AnalysisBug &B) {
-    return std::tuple(A.Loc, A.TheKind, A.Node, A.Detail) <
-           std::tuple(B.Loc, B.TheKind, B.Node, B.Detail);
+    return std::tie(A.Loc, A.TheKind, A.Node, A.Detail) <
+           std::tie(B.Loc, B.TheKind, B.Node, B.Detail);
   }
 };
 

@@ -403,11 +403,6 @@ void Engine::drain() {
 /// Throws BudgetExceeded/EngineError; run() owns recovery.
 void Engine::explore() {
   PcfgState Init(Opts.Backend);
-  ProcSetEntry All;
-  All.Name = "p0";
-  All.Range = ProcRange::all();
-  All.Node = Graph.entryId();
-  Init.Sets.push_back(std::move(All));
   // One intern table and one closure memo serve the whole run: every state
   // is a (copy-on-write) descendant of Init, so all constraint graphs the
   // engine ever touches share them. Batch threads mode pre-shares both
@@ -417,11 +412,16 @@ void Engine::explore() {
                                                : std::make_shared<SymbolTable>(),
                             Opts.SharedMemo ? Opts.SharedMemo
                                             : std::make_shared<ClosureMemo>());
+  ProcSetEntry All;
+  All.Name = "p0";
+  All.Range = ProcRange::all(*Init.Cg.symbolsPtr());
+  All.Node = Graph.entryId();
+  Init.Sets.push_back(std::move(All));
   Init.Cg.addLowerBound("np", std::max<std::int64_t>(Opts.MinProcs, 1));
   if (Opts.FixedNp > 0)
-    Init.Cg.addEQ(LinearExpr("np", 0), LinearExpr(Opts.FixedNp));
+    Init.Cg.addEQ(Init.Cg.form("np"), LinearExpr(Opts.FixedNp));
   for (const auto &[Name, Value] : Opts.Params) {
-    Init.Cg.addEQ(LinearExpr(Name, 0), LinearExpr(Value));
+    Init.Cg.addEQ(Init.Cg.form(Name), LinearExpr(Value));
     Init.Facts.addRewrite(Name, Poly(Value));
   }
   StepEffects Seeded = seedStep(stepInputs(), std::move(Init));

@@ -141,8 +141,9 @@ std::optional<Poly> csdf::boundToGlobalPoly(const SymBound &Bound,
   for (const LinearExpr &Form : Enriched.forms()) {
     if (Form.isConstant())
       return Poly(Form.constant());
-    if (Form.var().find('.') == std::string::npos)
-      return Poly::var(Form.var()).plus(Poly(Form.constant()));
+    if (Form.isGlobal(Cg.symbols()))
+      return Poly::var(Cg.symbols().name(Form.var()))
+          .plus(Poly(Form.constant()));
   }
   return std::nullopt;
 }

@@ -100,7 +100,8 @@ PartnerExpr csdf::classifyPartnerExpr(const Expr *E, const ProcSetEntry &Set,
     // Other uses of id are the HSM matcher's job; report Complex here.
     return Result;
   }
-  auto Lin = LinearExpr::fromExpr(E);
+  SymbolTable &Syms = *Cg.symbolsPtr();
+  auto Lin = LinearExpr::fromExpr(E, Syms);
   if (!Lin) {
     // Outside the `var + c` fragment, but possibly still pinned to a
     // constant (e.g. `np - ncols` with both parameters fixed).
@@ -112,15 +113,15 @@ PartnerExpr csdf::classifyPartnerExpr(const Expr *E, const ProcSetEntry &Set,
   }
   if (Lin->hasVar()) {
     // Non-uniform variables are only safe on singleton sets.
-    if (Set.NonUniform.count(Lin->var()) &&
-        !Set.Range.provablySingleton(Cg))
+    const std::string &Var = Syms.name(Lin->var());
+    if (Set.NonUniform.count(Var) && !Set.Range.provablySingleton(Cg))
       return Result;
-    Result.Value =
-        LinearExpr(PcfgState::scopedVar(Set, Lin->var(), AssignedVars),
-                   Lin->constant());
-  } else {
-    Result.Value = *Lin;
+    // Globals stay bare, so only set-local variables need a second intern.
+    if (AssignedVars.count(Var))
+      Lin = Cg.form(PcfgState::scopedVar(Set, Var, AssignedVars),
+                    Lin->constant());
   }
+  Result.Value = *Lin;
   Result.TheKind = PartnerExpr::Kind::Uniform;
   return Result;
 }

@@ -86,12 +86,13 @@ void NameSet::insertAll(const NameSet &Other) {
 
 void PcfgState::renameNamespaces(const NamespaceMap &Map) {
   Cg.renameNamespaces(Map);
-  auto Rename = [&](const std::string &Var) { return Map.apply(Var); };
+  const SymbolTable &Syms = Cg.symbols();
+  NamespaceRenamer Rename(Map, *Cg.symbolsPtr());
   for (ProcSetEntry &Set : Sets)
-    Set.Range = Set.Range.withRenamedVars(Rename);
+    Set.Range = Set.Range.withRenamedVars(Rename, Syms);
   for (PendingSend &P : InFlight) {
-    P.Senders = P.Senders.withRenamedVars(Rename);
-    P.AggRange = P.AggRange.withRenamedVars(Rename);
+    P.Senders = P.Senders.withRenamedVars(Rename, Syms);
+    P.AggRange = P.AggRange.withRenamedVars(Rename, Syms);
     for (std::optional<LinearExpr> *L : {&P.DestUniform, &P.Tag, &P.Value})
       if (*L)
         **L = (*L)->withRenamedVar(Rename);
@@ -116,10 +117,11 @@ void PcfgState::canonicalize() {
   std::vector<size_t> Order(Sets.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
+  FormOrder Less{Cg.symbols()};
   std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
     if (Sets[A].Node != Sets[B].Node)
       return Sets[A].Node < Sets[B].Node;
-    return Sets[A].Range.lb().primary() < Sets[B].Range.lb().primary();
+    return Less(Sets[A].Range.lb().primary(), Sets[B].Range.lb().primary());
   });
   std::vector<ProcSetEntry> NewSets;
   NewSets.reserve(Sets.size());
@@ -190,8 +192,8 @@ std::string PcfgState::configKey() const {
 }
 
 std::string PcfgState::setsStr() const {
-  return joinMapped(Sets, " ", [](const ProcSetEntry &Set) {
-    return Set.Name + "=" + Set.Range.str() + "@n" +
+  return joinMapped(Sets, " ", [&](const ProcSetEntry &Set) {
+    return Set.Name + "=" + Set.Range.str(Cg.symbols()) + "@n" +
            std::to_string(Set.Node);
   });
 }
@@ -199,10 +201,10 @@ std::string PcfgState::setsStr() const {
 std::string PcfgState::str(const Cfg &Graph) const {
   std::ostringstream OS;
   for (const ProcSetEntry &Set : Sets)
-    OS << Set.Name << " = " << Set.Range.str() << " at "
+    OS << Set.Name << " = " << Set.Range.str(Cg.symbols()) << " at "
        << Graph.nodeLabel(Set.Node) << "\n";
   for (const PendingSend &P : InFlight)
-    OS << "in-flight: " << P.Senders.str() << " from "
+    OS << "in-flight: " << P.Senders.str(Cg.symbols()) << " from "
        << Graph.nodeLabel(P.SendNode) << "\n";
   OS << "cg: " << Cg.str() << "\n";
   return OS.str();
@@ -218,17 +220,16 @@ namespace {
 /// variables silently change the set's meaning.
 SymBound reanchorBound(ConstraintGraph &Cg, const std::string &OwnerNs,
                        const char *Slot, const SymBound &Bound) {
-  std::string Anchor = OwnerNs + "." + Slot;
-  LinearExpr AnchorForm(Anchor, 0);
   for (const LinearExpr &Form : Bound.forms())
-    if (Form.isConstant() || Form.var().find('.') == std::string::npos)
+    if (Form.isGlobal(Cg.symbols()))
       return SymBound(Form);
+  LinearExpr AnchorForm = Cg.form(OwnerNs + "." + Slot);
   // Prefer keeping the existing anchor if it is among the aliases (its
   // constraints already describe the combined bound).
   for (const LinearExpr &Form : Bound.forms())
     if (Form == AnchorForm)
       return SymBound(AnchorForm);
-  Cg.assign(Anchor, Bound.primary());
+  Cg.assign(AnchorForm.var(), Bound.primary());
   return SymBound(AnchorForm);
 }
 
@@ -325,6 +326,8 @@ bool csdf::widenStates(PcfgState &Acc, const PcfgState &New) {
 }
 
 bool csdf::statesEqual(const PcfgState &A, const PcfgState &B) {
+  assert(&A.Cg.symbols() == &B.Cg.symbols() &&
+         "bound forms compare by id only within one table");
   if (A.Sets.size() != B.Sets.size() ||
       A.InFlight.size() != B.InFlight.size())
     return false;

@@ -37,6 +37,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace csdf {
@@ -139,8 +140,8 @@ struct MatchRecord {
   std::string ReceiverRange;
 
   bool operator<(const MatchRecord &O) const {
-    return std::tuple(SendNode, RecvNode, SenderRange, ReceiverRange) <
-           std::tuple(O.SendNode, O.RecvNode, O.SenderRange, O.ReceiverRange);
+    return std::tie(SendNode, RecvNode, SenderRange, ReceiverRange) <
+           std::tie(O.SendNode, O.RecvNode, O.SenderRange, O.ReceiverRange);
   }
   bool operator==(const MatchRecord &O) const {
     return SendNode == O.SendNode && RecvNode == O.RecvNode &&
@@ -208,6 +209,8 @@ bool joinStates(PcfgState &Acc, const PcfgState &New);
 bool widenStates(PcfgState &Acc, const PcfgState &New);
 
 /// Structural equality of canonicalized states (used for fixpoint checks).
+/// Both states must intern into one SymbolTable, as every state of one
+/// run does.
 bool statesEqual(const PcfgState &A, const PcfgState &B);
 
 } // namespace csdf

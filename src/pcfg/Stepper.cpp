@@ -142,12 +142,14 @@ private:
 
   /// Human-readable range for match records: one representative form per
   /// bound, preferring globals/constants over alias lists.
-  static std::string displayRange(const ProcRange &Range) {
-    auto Pick = [](const SymBound &Bound) {
+  static std::string displayRange(const PcfgState &St,
+                                  const ProcRange &Range) {
+    const SymbolTable &Syms = St.Cg.symbols();
+    auto Pick = [&](const SymBound &Bound) {
       for (const LinearExpr &Form : Bound.forms())
-        if (Form.isConstant() || Form.var().find('.') == std::string::npos)
-          return Form.str();
-      return Bound.primary().str();
+        if (Form.isGlobal(Syms))
+          return Form.str(Syms);
+      return Bound.primary().str(Syms);
     };
     return "[" + Pick(Range.lb()) + ".." + Pick(Range.ub()) + "]";
   }
@@ -193,8 +195,8 @@ private:
           if (!Combined) {
             if (tracingEnabled())
               std::fprintf(stderr, "no-merge: %s and %s\n",
-                           St.Sets[I].Range.str().c_str(),
-                           St.Sets[J].Range.str().c_str());
+                           St.Sets[I].Range.str(St.Cg.symbols()).c_str(),
+                           St.Sets[J].Range.str(St.Cg.symbols()).c_str());
             continue;
           }
           mergeSets(St, I, J, *Combined);
@@ -226,16 +228,18 @@ private:
     // sides and provably equal across the halves.
     NameSet NonUniform = A.NonUniform;
     NonUniform.insertAll(B.NonUniform);
+    SymbolTable &Syms = *St.Cg.symbolsPtr();
+    const VarId BNs = Syms.intern(B.Name);
     for (VarId Id : St.Cg.varIds()) {
-      const std::string &Var = St.Cg.symbols().name(Id);
+      const std::string &Var = Syms.name(Id);
       if (!inNamespace(Var, A.Name))
         continue;
       std::string Base = Var.substr(A.Name.size() + 1);
       if (isAnchorName(Base))
         continue; // Anchor slots are per-set metadata.
       if (!NonUniform.count(Base) &&
-          !St.Cg.provesEQ(LinearExpr(Var, 0),
-                          LinearExpr(B.Name + "." + Base, 0)))
+          !St.Cg.provesEQ(LinearExpr(Id, 0),
+                          LinearExpr(Syms.renamed(Id, BNs), 0)))
         NonUniform.insert(Base);
     }
 
@@ -260,8 +264,8 @@ private:
     });
     NamespaceMap FromScratch("mrg$", NewName);
     St.Cg.renameNamespaces(FromScratch);
-    Anchored = Anchored.withRenamedVars(
-        [&](const std::string &Var) { return FromScratch.apply(Var); });
+    Anchored = Anchored.withRenamedVars(NamespaceRenamer(FromScratch, Syms),
+                                        Syms);
 
     ProcSetEntry Combined2;
     Combined2.Name = NewName;
@@ -291,11 +295,11 @@ private:
   SymBound anchorBound(PcfgState &St, const std::string &OwnerNs,
                        const char *Slot, const SymBound &Bound) {
     for (const LinearExpr &Form : Bound.forms())
-      if (Form.isConstant() || Form.var().find('.') == std::string::npos)
+      if (Form.isGlobal(St.Cg.symbols()))
         return SymBound(Form);
-    std::string Anchor = OwnerNs + "." + Slot;
-    St.Cg.assign(Anchor, Bound.primary());
-    return SymBound(LinearExpr(Anchor, 0));
+    LinearExpr Anchor = St.Cg.form(OwnerNs + "." + Slot);
+    St.Cg.assign(Anchor.var(), Bound.primary());
+    return SymBound(Anchor);
   }
 
   ProcRange anchorRange(PcfgState &St, const std::string &OwnerNs,
@@ -364,7 +368,8 @@ private:
         StepEffects::Item It;
         It.K = StepEffects::Item::Kind::Leak;
         It.Leak = {AnalysisBug::Kind::MessageLeak, P.SendNode, SourceLoc(),
-                   "message from " + P.Senders.str() + " sent at " +
+                   "message from " + P.Senders.str(St.Cg.symbols()) +
+                       " sent at " +
                        Graph.nodeLabel(P.SendNode) + " is never received"};
         Fx.Items.push_back(std::move(It));
       }
@@ -441,7 +446,7 @@ private:
     ProcSetEntry &Set = St.Sets[Idx];
     PrintFact Fact;
     Fact.Node = Node;
-    Fact.SetRange = Set.Range.str();
+    Fact.SetRange = Set.Range.str(St.Cg.symbols());
     PartnerExpr P = classify(St, Set, E);
     if (P.isUniform()) {
       if (P.Value.isConstant())
@@ -729,7 +734,8 @@ private:
   };
 
   /// Recognizes a send loop rooted at branch node \p BranchId.
-  std::optional<SendLoop> matchSendLoop(CfgNodeId BranchId) const {
+  std::optional<SendLoop> matchSendLoop(CfgNodeId BranchId,
+                                        SymbolTable &Syms) const {
     const CfgNode &Branch = Graph.node(BranchId);
     if (!Branch.isBranch())
       return std::nullopt;
@@ -762,8 +768,8 @@ private:
       return std::nullopt;
     auto Inc = matchIdPlusC(Step.Value);
     (void)Inc; // Step must be v = v + 1 (id-form does not apply here).
-    auto Lin = LinearExpr::fromExpr(Step.Value);
-    if (!Lin || !Lin->hasVar() || Lin->var() != Loop.Var ||
+    auto Lin = LinearExpr::fromExpr(Step.Value, Syms);
+    if (!Lin || !Lin->hasVar() || Syms.name(Lin->var()) != Loop.Var ||
         Lin->constant() != 1)
       return std::nullopt;
     if (Step.Succs.size() != 1 || Graph.soleSuccessor(StepId) != BranchId)
@@ -792,7 +798,7 @@ private:
     PartnerExpr Ub = classify(St, Set, Loop.UpperBound);
     if (!Ub.isUniform())
       return false;
-    SymBound Lo((LinearExpr(ScopedVar, 0)));
+    SymBound Lo(St.Cg.form(ScopedVar));
     SymBound Hi(Ub.Value);
     ProcRange Agg(Lo, Hi);
     // The summary asserts "the loop body ran for v = lo..UB and exited
@@ -808,9 +814,9 @@ private:
     P.IsAggregate = true;
 
     if (auto Tag = classifyTag(St, Set, Loop.TagExpr)) {
-      if (Tag->hasVar() && Tag->var().find('.') != std::string::npos) {
-        St.Cg.assign(P.FreezeNs + ".tag", *Tag);
-        P.Tag = LinearExpr(P.FreezeNs + ".tag", 0);
+      if (!Tag->isGlobal(St.Cg.symbols())) {
+        P.Tag = St.Cg.form(P.FreezeNs + ".tag");
+        St.Cg.assign(P.Tag->var(), *Tag);
       } else {
         P.Tag = Tag;
       }
@@ -822,10 +828,9 @@ private:
     std::set<std::string> ValueVars;
     collectVars(Loop.ValueExpr, ValueVars);
     if (Value.isUniform() && !ValueVars.count(Loop.Var)) {
-      if (Value.Value.hasVar() &&
-          Value.Value.var().find('.') != std::string::npos) {
-        St.Cg.assign(P.FreezeNs + ".val", Value.Value);
-        P.Value = LinearExpr(P.FreezeNs + ".val", 0);
+      if (!Value.Value.isGlobal(St.Cg.symbols())) {
+        P.Value = St.Cg.form(P.FreezeNs + ".val");
+        St.Cg.assign(P.Value->var(), Value.Value);
       } else {
         P.Value = Value.Value;
       }
@@ -842,7 +847,7 @@ private:
     Set.Node = Loop.ExitNode;
     if (tracingEnabled())
       std::fprintf(stderr, "aggregated send loop at n%u: range %s\n",
-                   Loop.SendNode, St.InFlight.back().AggRange.str().c_str());
+                   Loop.SendNode, St.InFlight.back().AggRange.str(St.Cg.symbols()).c_str());
     return true;
   }
 
@@ -936,7 +941,8 @@ private:
   };
 
   /// Recognizes a receive loop rooted at branch node \p BranchId.
-  std::optional<RecvLoop> matchRecvLoop(CfgNodeId BranchId) const {
+  std::optional<RecvLoop> matchRecvLoop(CfgNodeId BranchId,
+                                        SymbolTable &Syms) const {
     const CfgNode &Branch = Graph.node(BranchId);
     if (!Branch.isBranch())
       return std::nullopt;
@@ -966,8 +972,8 @@ private:
     const CfgNode &Step = Graph.node(StepId);
     if (Step.Kind != CfgNodeKind::Assign || Step.Var != Loop.Var)
       return std::nullopt;
-    auto Lin = LinearExpr::fromExpr(Step.Value);
-    if (!Lin || !Lin->hasVar() || Lin->var() != Loop.Var ||
+    auto Lin = LinearExpr::fromExpr(Step.Value, Syms);
+    if (!Lin || !Lin->hasVar() || Syms.name(Lin->var()) != Loop.Var ||
         Lin->constant() != 1)
       return std::nullopt;
     if (Step.Succs.size() != 1 || Graph.soleSuccessor(StepId) != BranchId)
@@ -993,7 +999,7 @@ private:
     PartnerExpr Ub = classify(St, Set, Loop.UpperBound);
     if (!Ub.isUniform())
       return false;
-    SymBound Lo((LinearExpr(ScopedVar, 0)));
+    SymBound Lo(St.Cg.form(ScopedVar));
     SymBound Hi(Ub.Value);
     ProcRange Sources(Lo, Hi);
     if (!Sources.provablyNonEmpty(St.Cg))
@@ -1032,7 +1038,8 @@ private:
         continue;
 
       logMatch({Pending.SendNode, Loop.RecvNode,
-                displayRange(Pending.Senders), displayRange(Set.Range)});
+                displayRange(St, Pending.Senders),
+                displayRange(St, Set.Range)});
       St.InFlight.erase(St.InFlight.begin() + static_cast<long>(P));
 
       // The receiver executed the whole loop: the received values come
@@ -1044,7 +1051,7 @@ private:
       Set.Node = Loop.ExitNode;
       if (tracingEnabled())
         std::fprintf(stderr, "aggregated recv loop at n%u consumed %s\n",
-                     Loop.RecvNode, Sources.str().c_str());
+                     Loop.RecvNode, Sources.str(St.Cg.symbols()).c_str());
       return true;
     }
     return false;
@@ -1071,12 +1078,11 @@ private:
     // references a mutable (namespaced) variable.
     auto Freeze = [&](const LinearExpr &Value,
                       const std::string &Slot) -> LinearExpr {
-      if (Value.isConstant() ||
-          Value.var().find('.') == std::string::npos)
+      if (Value.isGlobal(St.Cg.symbols()))
         return Value;
-      std::string Frozen = P.FreezeNs + "." + Slot;
-      St.Cg.assign(Frozen, Value);
-      return LinearExpr(Frozen, 0);
+      LinearExpr Frozen = St.Cg.form(P.FreezeNs + "." + Slot);
+      St.Cg.assign(Frozen.var(), Value);
+      return Frozen;
     };
 
     PartnerExpr Dest = classify(St, Set, Node.Partner);
@@ -1108,12 +1114,11 @@ private:
     auto FreezeBound = [&](const SymBound &Bound,
                            const std::string &Slot) -> SymBound {
       const LinearExpr &Primary = Bound.primary();
-      if (Primary.isConstant() ||
-          Primary.var().find('.') == std::string::npos)
+      if (Primary.isGlobal(St.Cg.symbols()))
         return Bound;
-      std::string Frozen = P.FreezeNs + "." + Slot;
-      St.Cg.assign(Frozen, Primary);
-      return SymBound(LinearExpr(Frozen, 0));
+      LinearExpr Frozen = St.Cg.form(P.FreezeNs + "." + Slot);
+      St.Cg.assign(Frozen.var(), Primary);
+      return SymBound(Frozen);
     };
     P.Senders = ProcRange(FreezeBound(Set.Range.lb(), "lo"),
                           FreezeBound(Set.Range.ub(), "hi"));
@@ -1225,8 +1230,8 @@ private:
     CfgNodeId RecvId = PosNode.Id;
     std::string RecvVar = Payload.Var;
 
-    logMatch({SendNode, Payload.Id, displayRange(MIn.SProcs),
-              displayRange(MIn.RProcs)});
+    logMatch({SendNode, Payload.Id, displayRange(St, MIn.SProcs),
+              displayRange(St, MIn.RProcs)});
 
     // Receiver side: matched piece advances, the rest stays blocked.
     std::vector<SplitPiece> Pieces;
@@ -1288,13 +1293,14 @@ private:
         St.Cg.copyNamespace(Old.FreezeNs, Piece.FreezeNs,
                             /*SkipAnchors=*/false);
         NamespaceMap ToPiece(Old.FreezeNs, Piece.FreezeNs);
-        auto Retarget = [&](const std::string &V) { return ToPiece.apply(V); };
+        NamespaceRenamer Retarget(ToPiece, *St.Cg.symbolsPtr());
         for (std::optional<LinearExpr> *L :
              {&Piece.DestUniform, &Piece.Tag, &Piece.Value})
           if (*L)
             **L = (*L)->withRenamedVar(Retarget);
         if (Old.IsAggregate) {
-          Piece.Senders = Old.Senders.withRenamedVars(Retarget);
+          Piece.Senders =
+              Old.Senders.withRenamedVars(Retarget, St.Cg.symbols());
           Piece.AggRange =
               ProcRange(anchorBound(St, Piece.FreezeNs, "alo", Rest.lb()),
                         anchorBound(St, Piece.FreezeNs, "ahi", Rest.ub()));
@@ -1396,7 +1402,7 @@ private:
       C.Value = Pend.Value;
       C.Senders = Pend.Senders;
       C.UniformDest = !Pend.IsAggregate && Pend.DestUniform.has_value();
-      C.Desc = displayRange(Pend.Senders);
+      C.Desc = displayRange(St, Pend.Senders);
       C.Exact = TE > 0 && !Pend.IsAggregate && Image &&
                 Pend.Senders.provablySingleton(St.Cg) &&
                 provablyEqual(*Image, Set.Range, St.Cg);
@@ -1425,7 +1431,7 @@ private:
         C.SendNode = SendD.Node;
         C.Senders = St.Sets[S].Range;
         C.UniformDest = SendD.Partner.isUniform();
-        C.Desc = displayRange(St.Sets[S].Range);
+        C.Desc = displayRange(St, St.Sets[S].Range);
         C.Exact = TE > 0 && Image &&
                   St.Sets[S].Range.provablySingleton(St.Cg) &&
                   provablyEqual(*Image, Set.Range, St.Cg);
@@ -1696,14 +1702,14 @@ public:
       if (!Graph.node(St.Sets[I].Node).isBranch())
         continue;
       if (Opts.AggregateSendLoops && Opts.Sends == SendSemantics::Buffered) {
-        if (auto Loop = matchSendLoop(St.Sets[I].Node)) {
+        if (auto Loop = matchSendLoop(St.Sets[I].Node, *St.Cg.symbolsPtr())) {
           PcfgState Agg = St;
           if (emitAggregateSendLoop(Agg, I, *Loop)) {
             submit(std::move(Agg));
             return;
           }
         }
-        if (auto Loop = matchRecvLoop(St.Sets[I].Node)) {
+        if (auto Loop = matchRecvLoop(St.Sets[I].Node, *St.Cg.symbolsPtr())) {
           PcfgState Agg = St;
           if (consumeRecvLoop(Agg, I, *Loop)) {
             submit(std::move(Agg));
@@ -1734,7 +1740,7 @@ public:
       if (Node.isCommOp() || Node.isWaitOp())
         Fx.StuckBugs.push_back(
             {AnalysisBug::Kind::PossibleDeadlock, Node.Id, SourceLoc(),
-             Set.Range.str() + " blocked forever at " +
+             Set.Range.str(St.Cg.symbols()) + " blocked forever at " +
                  Graph.nodeLabel(Node.Id)});
     }
     if (!Fx.StuckBugs.empty() && tracingEnabled())

@@ -13,54 +13,51 @@
 
 using namespace csdf;
 
-SymBound::SymBound(std::vector<LinearExpr> TheForms)
-    : Forms(std::move(TheForms)) {
-  assert(!Forms.empty() && "a bound needs at least one form");
-  std::sort(Forms.begin(), Forms.end());
-  Forms.erase(std::unique(Forms.begin(), Forms.end()), Forms.end());
-}
-
-void SymBound::addForm(const LinearExpr &Form) {
-  auto It = std::lower_bound(Forms.begin(), Forms.end(), Form);
-  if (It != Forms.end() && *It == Form)
+void SymBound::addForm(const LinearExpr &Form, const SymbolTable &Syms) {
+  // Most adds are repeats (enrich re-finds the forms a bound holds); an
+  // id scan settles them without comparing names.
+  if (std::find(Forms.begin(), Forms.end(), Form) != Forms.end())
     return;
-  Forms.insert(It, Form);
+  Forms.insert(std::lower_bound(Forms.begin(), Forms.end(), Form,
+                                FormOrder{Syms}),
+               Form);
 }
 
 void SymBound::enrich(const ConstraintGraph &G) {
-  std::vector<LinearExpr> Extra;
-  for (const LinearExpr &F : Forms)
+  const FormList Original = Forms;
+  for (const LinearExpr &F : Original)
     for (const LinearExpr &Alias : G.equivalentForms(F))
-      Extra.push_back(Alias);
-  for (const LinearExpr &E : Extra)
-    addForm(E);
+      addForm(Alias, G.symbols());
 }
 
 SymBound SymBound::plus(std::int64_t Delta) const {
-  SymBound R;
-  for (const LinearExpr &F : Forms)
-    R.addForm(F.plus(Delta));
+  SymBound R = *this;
+  for (LinearExpr &F : R.Forms)
+    F = F.plus(Delta);
   return R;
 }
 
 std::optional<SymBound> SymBound::intersectForms(const SymBound &O) const {
-  std::vector<LinearExpr> Common;
-  std::set_intersection(Forms.begin(), Forms.end(), O.Forms.begin(),
-                        O.Forms.end(), std::back_inserter(Common));
-  if (Common.empty())
+  // Filtering this bound's forms keeps them in FormOrder.
+  SymBound R;
+  for (const LinearExpr &F : Forms)
+    if (std::find(O.Forms.begin(), O.Forms.end(), F) != O.Forms.end())
+      R.Forms.push_back(F);
+  if (R.Forms.empty())
     return std::nullopt;
-  return SymBound(std::move(Common));
+  return R;
 }
 
 namespace {
 
+using ResolvedForms =
+    InlineVector<ConstraintGraph::ResolvedForm, FormList::InlineCapacity>;
+
 /// Resolves every form of a bound once, so the A x B comparison loops
-/// below run on interned slots instead of re-hashing names per pair.
-std::vector<ConstraintGraph::ResolvedForm>
-resolveForms(const std::vector<LinearExpr> &Forms, const ConstraintGraph &G,
-             std::int64_t Delta) {
-  std::vector<ConstraintGraph::ResolvedForm> R;
-  R.reserve(Forms.size());
+/// below search each form's slot once instead of once per pair.
+ResolvedForms resolveForms(const FormList &Forms, const ConstraintGraph &G,
+                           std::int64_t Delta) {
+  ResolvedForms R;
   for (const LinearExpr &F : Forms) {
     ConstraintGraph::ResolvedForm Form = G.resolve(F);
     Form.C += Delta;
@@ -73,8 +70,8 @@ resolveForms(const std::vector<LinearExpr> &Forms, const ConstraintGraph &G,
 
 bool SymBound::provablyLE(const SymBound &O, const ConstraintGraph &G,
                           std::int64_t Slack) const {
-  auto As = resolveForms(Forms, G, 0);
-  auto Bs = resolveForms(O.Forms, G, Slack);
+  ResolvedForms As = resolveForms(Forms, G, 0);
+  ResolvedForms Bs = resolveForms(O.Forms, G, Slack);
   for (const auto &A : As)
     for (const auto &B : Bs)
       if (G.provesLE(A, B))
@@ -84,8 +81,8 @@ bool SymBound::provablyLE(const SymBound &O, const ConstraintGraph &G,
 
 bool SymBound::provablyEQ(const SymBound &O, const ConstraintGraph &G,
                           std::int64_t Offset) const {
-  auto As = resolveForms(Forms, G, 0);
-  auto Bs = resolveForms(O.Forms, G, Offset);
+  ResolvedForms As = resolveForms(Forms, G, 0);
+  ResolvedForms Bs = resolveForms(O.Forms, G, Offset);
   for (const auto &A : As)
     for (const auto &B : Bs)
       if (G.provesLE(A, B) && G.provesLE(B, A))
@@ -93,12 +90,12 @@ bool SymBound::provablyEQ(const SymBound &O, const ConstraintGraph &G,
   return false;
 }
 
-std::string SymBound::str() const {
+std::string SymBound::str(const SymbolTable &Syms) const {
   if (Forms.size() == 1)
-    return Forms.front().str();
+    return Forms.front().str(Syms);
   return "{" +
          joinMapped(Forms, ",",
-                    [](const LinearExpr &F) { return F.str(); }) +
+                    [&](const LinearExpr &F) { return F.str(Syms); }) +
          "}";
 }
 
@@ -192,6 +189,8 @@ std::optional<ProcRange> csdf::widenRange(const ProcRange &OldR,
                                           const ConstraintGraph &OldG,
                                           const ProcRange &NewR,
                                           const ConstraintGraph &NewG) {
+  assert(&OldG.symbols() == &NewG.symbols() &&
+         "forms compare by id only within one table");
   ProcRange A = OldR;
   A.enrich(OldG);
   ProcRange B = NewR;

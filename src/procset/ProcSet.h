@@ -13,7 +13,9 @@
 /// relations between bound forms.
 ///
 /// Bounds reference variables in whatever namespace the client analysis
-/// uses (e.g. `ps0::i`); this module is agnostic to the naming scheme.
+/// uses (e.g. `p0.i`); this module is agnostic to the naming scheme. Forms
+/// carry interned ids, so every bound of one analysis run must come from
+/// that run's SymbolTable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,40 +27,43 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace csdf {
 
 /// A symbolic bound: one or more `var + c` forms, all provably equal.
-/// The form list is kept sorted and duplicate-free.
+/// The form list is kept in FormOrder (name order) and duplicate-free, so
+/// operations that add or rename forms take the run's SymbolTable.
 class SymBound {
 public:
   SymBound() = default;
-  explicit SymBound(LinearExpr Form) : Forms{std::move(Form)} {}
-  explicit SymBound(std::vector<LinearExpr> TheForms);
+  explicit SymBound(const LinearExpr &Form) : Forms{Form} {}
 
-  /// The representative form (first in sorted order).
+  /// The representative form (first in FormOrder).
   const LinearExpr &primary() const { return Forms.front(); }
-  const std::vector<LinearExpr> &forms() const { return Forms; }
+  const FormList &forms() const { return Forms; }
 
   /// Adds another known-equal form.
-  void addForm(const LinearExpr &Form);
+  void addForm(const LinearExpr &Form, const SymbolTable &Syms);
 
   /// Extends the form set with every alias \p G can prove for any current
   /// form.
   void enrich(const ConstraintGraph &G);
 
-  /// Returns this bound shifted by \p Delta (all forms shifted).
+  /// Returns this bound shifted by \p Delta (all forms shifted; a uniform
+  /// shift keeps FormOrder).
   SymBound plus(std::int64_t Delta) const;
 
   /// Keeps only forms present in both bounds; nullopt if none survive.
+  /// Both bounds must come from one SymbolTable.
   std::optional<SymBound> intersectForms(const SymBound &O) const;
 
-  /// Renames the variable of every form.
-  template <typename Fn> SymBound withRenamedVars(Fn Rename) const {
+  /// Maps the variable of every form through \p Rename (`VarId -> VarId`)
+  /// and restores FormOrder.
+  template <typename Fn>
+  SymBound withRenamedVars(Fn &&Rename, const SymbolTable &Syms) const {
     SymBound R;
     for (const LinearExpr &F : Forms)
-      R.addForm(F.withRenamedVar(Rename));
+      R.addForm(F.withRenamedVar(Rename), Syms);
     return R;
   }
 
@@ -70,12 +75,12 @@ public:
   bool provablyEQ(const SymBound &O, const ConstraintGraph &G,
                   std::int64_t Offset = 0) const;
 
-  std::string str() const;
+  std::string str(const SymbolTable &Syms) const;
 
   bool operator==(const SymBound &O) const { return Forms == O.Forms; }
 
 private:
-  std::vector<LinearExpr> Forms;
+  FormList Forms;
 };
 
 /// A (possibly symbolic) contiguous range of process ranks `[Lb..Ub]`.
@@ -83,12 +88,12 @@ class ProcRange {
 public:
   ProcRange() = default;
   ProcRange(SymBound Lb, SymBound Ub) : Lb(std::move(Lb)), Ub(std::move(Ub)) {}
-  ProcRange(LinearExpr Lb, LinearExpr Ub)
-      : Lb(SymBound(std::move(Lb))), Ub(SymBound(std::move(Ub))) {}
+  ProcRange(const LinearExpr &Lb, const LinearExpr &Ub)
+      : Lb(SymBound(Lb)), Ub(SymBound(Ub)) {}
 
   /// The full set [0 .. np-1].
-  static ProcRange all() {
-    return ProcRange(LinearExpr(0), LinearExpr("np", -1));
+  static ProcRange all(SymbolTable &Syms) {
+    return ProcRange(LinearExpr(0), LinearExpr(Syms.intern("np"), -1));
   }
 
   /// The singleton [E .. E].
@@ -121,11 +126,15 @@ public:
     Ub.enrich(G);
   }
 
-  template <typename Fn> ProcRange withRenamedVars(Fn Rename) const {
-    return ProcRange(Lb.withRenamedVars(Rename), Ub.withRenamedVars(Rename));
+  template <typename Fn>
+  ProcRange withRenamedVars(Fn &&Rename, const SymbolTable &Syms) const {
+    return ProcRange(Lb.withRenamedVars(Rename, Syms),
+                     Ub.withRenamedVars(Rename, Syms));
   }
 
-  std::string str() const { return "[" + Lb.str() + ".." + Ub.str() + "]"; }
+  std::string str(const SymbolTable &Syms) const {
+    return "[" + Lb.str(Syms) + ".." + Ub.str(Syms) + "]";
+  }
 
   bool operator==(const ProcRange &O) const {
     return Lb == O.Lb && Ub == O.Ub;

@@ -10,6 +10,7 @@
 
 #include "api/Csdf.h"
 #include "driver/Batch.h"
+#include "lang/Corpus.h"
 #include "support/Version.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <regex>
+#include <sstream>
 #include <unistd.h>
 
 using namespace csdf;
@@ -279,22 +281,48 @@ TEST(AnalyzerTest, WarmAndColdAnalyzersAgreeOnVerdicts) {
   // Warm state (shared symbols + cross-session memo) is an optimization,
   // never a semantic change: repeated and mixed requests must produce the
   // same verdict JSON a cold run produces, byte for byte (modulo wall
-  // time).
+  // time). The warm Analyzer sees every program in reverse order first,
+  // so its shared table hands out ids in another order than each cold
+  // run's fresh table; bound forms are ordered by name, not id, so the
+  // verdicts must not notice.
   auto Normalize = [](std::string S) {
     return std::regex_replace(S, std::regex("\"wall_ms\": \\d+"),
                               "\"wall_ms\": 0");
   };
-  api::Analyzer Warm(api::AnalyzerConfig::warm());
-  const char *Sources[] = {CleanSource, LeakSource, CleanSource, LeakSource};
-  for (const char *Source : Sources) {
+  std::vector<api::AnalyzeRequest> Reqs;
+  auto Add = [&](std::string Path, std::string Source) {
     api::AnalyzeRequest Req;
-    Req.Path = "w.mpl";
-    Req.Source = Source;
+    Req.Path = std::move(Path);
+    Req.Source = std::move(Source);
+    Reqs.push_back(std::move(Req));
+  };
+  for (const char *Source : {CleanSource, LeakSource, CleanSource, LeakSource})
+    Add("w.mpl", Source);
+  for (const corpus::NamedProgram &P : corpus::allPatterns())
+    Add(P.Name + ".mpl", P.Source);
+  std::vector<fs::path> Examples;
+  for (const fs::directory_entry &E : fs::directory_iterator(CSDF_EXAMPLES_DIR))
+    if (E.path().extension() == ".mpl")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_FALSE(Examples.empty());
+  for (const fs::path &F : Examples) {
+    std::ifstream In(F);
+    std::stringstream Source;
+    Source << In.rdbuf();
+    Add(F.filename().string(), Source.str());
+  }
+
+  api::Analyzer Warm(api::AnalyzerConfig::warm());
+  for (auto It = Reqs.rbegin(); It != Reqs.rend(); ++It)
+    Warm.analyze(*It);
+  for (const api::AnalyzeRequest &Req : Reqs) {
     api::AnalyzeResponse WarmR = Warm.analyze(Req);
     api::Analyzer Cold;
     api::AnalyzeResponse ColdR = Cold.analyze(Req);
     EXPECT_EQ(Normalize(api::verdictJson(Req.Path, WarmR)),
-              Normalize(api::verdictJson(Req.Path, ColdR)));
+              Normalize(api::verdictJson(Req.Path, ColdR)))
+        << Req.Path;
   }
 }
 

@@ -24,8 +24,8 @@ TEST_P(ConstraintGraphTest, TransitivityIsClosed) {
   ConstraintGraph G = make();
   G.addLE("a", "b", 1); // a <= b + 1
   G.addLE("b", "c", 2); // b <= c + 2
-  EXPECT_TRUE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 3)));
-  EXPECT_FALSE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 2)));
+  EXPECT_TRUE(G.provesLE(G.form("a", 0), G.form("c", 3)));
+  EXPECT_FALSE(G.provesLE(G.form("a", 0), G.form("c", 2)));
 }
 
 TEST_P(ConstraintGraphTest, ContradictionIsInfeasible) {
@@ -44,23 +44,23 @@ TEST_P(ConstraintGraphTest, InfeasibleProvesEverything) {
 
 TEST_P(ConstraintGraphTest, ConstValueDetection) {
   ConstraintGraph G = make();
-  G.addEQ(LinearExpr("x", 0), LinearExpr(5));
+  G.addEQ(G.form("x", 0), LinearExpr(5));
   EXPECT_EQ(G.constValue("x"), 5);
   EXPECT_FALSE(G.constValue("y").has_value());
 }
 
 TEST_P(ConstraintGraphTest, EqualityPropagatesThroughChain) {
   ConstraintGraph G = make();
-  G.addEQ(LinearExpr("x", 0), LinearExpr("y", 1)); // x = y + 1
-  G.addEQ(LinearExpr("y", 0), LinearExpr(4));
+  G.addEQ(G.form("x", 0), G.form("y", 1)); // x = y + 1
+  G.addEQ(G.form("y", 0), LinearExpr(4));
   EXPECT_EQ(G.constValue("x"), 5);
   EXPECT_EQ(G.offsetBetween("x", "y"), 1);
 }
 
 TEST_P(ConstraintGraphTest, SameVarComparisonsNeedNoGraph) {
   ConstraintGraph G = make();
-  EXPECT_TRUE(G.provesLE(LinearExpr("q", 1), LinearExpr("q", 2)));
-  EXPECT_FALSE(G.provesLE(LinearExpr("q", 2), LinearExpr("q", 1)));
+  EXPECT_TRUE(G.provesLE(G.form("q", 1), G.form("q", 2)));
+  EXPECT_FALSE(G.provesLE(G.form("q", 2), G.form("q", 1)));
 }
 
 TEST_P(ConstraintGraphTest, AssignConstant) {
@@ -74,7 +74,7 @@ TEST_P(ConstraintGraphTest, AssignConstant) {
 TEST_P(ConstraintGraphTest, AssignVarPlusConst) {
   ConstraintGraph G = make();
   G.assign("y", LinearExpr(3));
-  G.assign("x", LinearExpr("y", 2));
+  G.assign("x", G.form("y", 2));
   EXPECT_EQ(G.constValue("x"), 5);
   // Reassigning y must not retroactively change x.
   G.assign("y", LinearExpr(100));
@@ -84,14 +84,14 @@ TEST_P(ConstraintGraphTest, AssignVarPlusConst) {
 TEST_P(ConstraintGraphTest, SelfIncrementShiftsExactly) {
   ConstraintGraph G = make();
   G.assign("i", LinearExpr(1));
-  G.assign("i", LinearExpr("i", 1)); // i := i + 1
+  G.assign("i", G.form("i", 1)); // i := i + 1
   EXPECT_EQ(G.constValue("i"), 2);
 }
 
 TEST_P(ConstraintGraphTest, SelfIncrementPreservesRelations) {
   ConstraintGraph G = make();
-  G.addEQ(LinearExpr("i", 0), LinearExpr("n", 0)); // i == n
-  G.assign("i", LinearExpr("i", 1));
+  G.addEQ(G.form("i", 0), G.form("n", 0)); // i == n
+  G.assign("i", G.form("i", 1));
   EXPECT_EQ(G.offsetBetween("i", "n"), 1); // i == n + 1
 }
 
@@ -110,7 +110,7 @@ TEST_P(ConstraintGraphTest, HavocKeepsImpliedFacts) {
   G.addLE("b", "c", 0);
   G.havoc("b");
   // a <= c survives through the closure even though b is gone.
-  EXPECT_TRUE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 0)));
+  EXPECT_TRUE(G.provesLE(G.form("a", 0), G.form("c", 0)));
 }
 
 TEST_P(ConstraintGraphTest, RemoveVarProjects) {
@@ -119,7 +119,7 @@ TEST_P(ConstraintGraphTest, RemoveVarProjects) {
   G.addLE("b", "c", 1);
   G.removeVar("b");
   EXPECT_FALSE(G.hasVar("b"));
-  EXPECT_TRUE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 2)));
+  EXPECT_TRUE(G.provesLE(G.form("a", 0), G.form("c", 2)));
 }
 
 TEST_P(ConstraintGraphTest, JoinKeepsCommonFacts) {
@@ -131,8 +131,8 @@ TEST_P(ConstraintGraphTest, JoinKeepsCommonFacts) {
   EXPECT_TRUE(A.isFeasible());
   EXPECT_FALSE(A.constValue("x").has_value());
   // But the range [1..3] is retained.
-  EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr(3)));
-  EXPECT_TRUE(A.provesLE(LinearExpr(1), LinearExpr("x", 0)));
+  EXPECT_TRUE(A.provesLE(A.form("x", 0), LinearExpr(3)));
+  EXPECT_TRUE(A.provesLE(LinearExpr(1), A.form("x", 0)));
 }
 
 TEST_P(ConstraintGraphTest, JoinWithInfeasibleIsIdentity) {
@@ -191,8 +191,8 @@ TEST_P(ConstraintGraphTest, WideningDropsUnstableBounds) {
   Old.widenWith(New);
   // Upper bound unstable -> dropped; lower bound stable -> kept.
   EXPECT_FALSE(Old.constValue("i").has_value());
-  EXPECT_TRUE(Old.provesLE(LinearExpr(1), LinearExpr("i", 0)));
-  EXPECT_FALSE(Old.provesLE(LinearExpr("i", 0), LinearExpr(1000000)));
+  EXPECT_TRUE(Old.provesLE(LinearExpr(1), Old.form("i", 0)));
+  EXPECT_FALSE(Old.provesLE(Old.form("i", 0), LinearExpr(1000000)));
 }
 
 TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
@@ -201,7 +201,7 @@ TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
   State.assign("i", LinearExpr(1));
   for (int Iter = 0; Iter < 3; ++Iter) {
     ConstraintGraph Next = State;
-    Next.assign("i", LinearExpr("i", 1));
+    Next.assign("i", Next.form("i", 1));
     ConstraintGraph Widened = State;
     Widened.widenWith(Next);
     if (Widened.equals(State))
@@ -209,7 +209,7 @@ TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
     State = Widened;
     EXPECT_LT(Iter, 2) << "widening failed to converge";
   }
-  EXPECT_TRUE(State.provesLE(LinearExpr(1), LinearExpr("i", 0)));
+  EXPECT_TRUE(State.provesLE(LinearExpr(1), State.form("i", 0)));
 }
 
 TEST_P(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
@@ -224,14 +224,14 @@ TEST_P(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
 
 TEST_P(ConstraintGraphTest, EquivalentFormsFindsAliases) {
   ConstraintGraph G = make();
-  G.addEQ(LinearExpr("ub", 0), LinearExpr("i", -1)); // ub == i - 1
-  G.addEQ(LinearExpr("i", 0), LinearExpr(3));
-  std::vector<LinearExpr> Forms =
-      G.equivalentForms(LinearExpr("ub", 0));
+  G.addEQ(G.form("ub", 0), G.form("i", -1)); // ub == i - 1
+  G.addEQ(G.form("i", 0), LinearExpr(3));
+  FormList Forms =
+      G.equivalentForms(G.form("ub", 0));
   // Expect ub, i-1, and the constant 2.
-  EXPECT_NE(std::find(Forms.begin(), Forms.end(), LinearExpr("ub", 0)),
+  EXPECT_NE(std::find(Forms.begin(), Forms.end(), G.form("ub", 0)),
             Forms.end());
-  EXPECT_NE(std::find(Forms.begin(), Forms.end(), LinearExpr("i", -1)),
+  EXPECT_NE(std::find(Forms.begin(), Forms.end(), G.form("i", -1)),
             Forms.end());
   EXPECT_NE(std::find(Forms.begin(), Forms.end(), LinearExpr(2)),
             Forms.end());
@@ -281,12 +281,12 @@ TEST_P(ConstraintGraphTest, LoopCounterScenarioFromFigure5) {
   G.assign("i", LinearExpr(1));
   G.addLowerBound("np", 2);
   // First iteration body: released block is [i .. i] == [1 .. 1].
-  G.assign("lo", LinearExpr("i", 0));
-  G.assign("hi", LinearExpr("i", 0));
-  G.assign("i", LinearExpr("i", 1));
+  G.assign("lo", G.form("i", 0));
+  G.assign("hi", G.form("i", 0));
+  G.assign("i", G.form("i", 1));
   // Now lo == i-1 and hi == i-1 must be provable.
-  EXPECT_TRUE(G.provesEQ(LinearExpr("lo", 0), LinearExpr("i", -1)));
-  EXPECT_TRUE(G.provesEQ(LinearExpr("hi", 0), LinearExpr("i", -1)));
+  EXPECT_TRUE(G.provesEQ(G.form("lo", 0), G.form("i", -1)));
+  EXPECT_TRUE(G.provesEQ(G.form("hi", 0), G.form("i", -1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ConstraintGraphTest,

@@ -241,7 +241,7 @@ TEST(NamespaceTest, CopyNamespaceAddsTheSameEdgesInTheSameOrder) {
         std::string Base = Var.substr(3);
         if (SkipAnchors && Base.find('$') != std::string::npos)
           continue;
-        ByName.addEQ(LinearExpr("s9." + Base, 0), LinearExpr(Var, 0));
+        ByName.addEQ(ByName.form("s9." + Base), ByName.form(Var));
       }
       ById.copyNamespace("p1", "s9", SkipAnchors);
       EXPECT_EQ(ById.varNames(), ByName.varNames());
@@ -281,7 +281,7 @@ TEST_P(CowTest, CopySharesUntilMutation) {
   EXPECT_EQ(Stats.counter("cg.cow.detaches"), 0);
 
   // Queries never detach.
-  EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 3)));
+  EXPECT_TRUE(B.provesLE(B.form("x", 0), B.form("y", 3)));
   EXPECT_TRUE(B.sharesStorage());
 
   // First mutation detaches exactly once.
@@ -298,11 +298,11 @@ TEST_P(CowTest, MutatingCopyLeavesOriginalIntact) {
   B.addLE("x", "y", 1);
   B.addUpperBound("x", 0);
   // A still only knows x <= y + 5.
-  EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 5)));
-  EXPECT_FALSE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 1)));
-  EXPECT_FALSE(A.provesLE(LinearExpr("x", 0), LinearExpr(0)));
-  EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 1)));
-  EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr(0)));
+  EXPECT_TRUE(A.provesLE(A.form("x", 0), A.form("y", 5)));
+  EXPECT_FALSE(A.provesLE(A.form("x", 0), A.form("y", 1)));
+  EXPECT_FALSE(A.provesLE(A.form("x", 0), LinearExpr(0)));
+  EXPECT_TRUE(B.provesLE(B.form("x", 0), B.form("y", 1)));
+  EXPECT_TRUE(B.provesLE(B.form("x", 0), LinearExpr(0)));
 }
 
 TEST_P(CowTest, ClosureThroughOneCopyIsVisibleToAll) {
@@ -315,7 +315,7 @@ TEST_P(CowTest, ClosureThroughOneCopyIsVisibleToAll) {
   A.close();
   std::int64_t ClosuresAfterA = Stats.counter("cg.closure.full.calls") +
                                 Stats.counter("cg.closure.incr.calls");
-  EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr("z", 2)));
+  EXPECT_TRUE(B.provesLE(B.form("x", 0), B.form("z", 2)));
   EXPECT_EQ(Stats.counter("cg.closure.full.calls") +
                 Stats.counter("cg.closure.incr.calls"),
             ClosuresAfterA);
@@ -328,14 +328,14 @@ TEST_P(CowTest, EnsureVarOnCopyDoesNotResizeOriginal) {
   B.ensureVar("fresh");
   EXPECT_EQ(B.numVars(), 3u);
   EXPECT_EQ(A.numVars(), 2u);
-  EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
+  EXPECT_TRUE(A.provesLE(A.form("x", 0), A.form("y", 2)));
 }
 
 TEST_P(CowTest, SelfAssignIsSafe) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 2);
   A = *&A;
-  EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
+  EXPECT_TRUE(A.provesLE(A.form("x", 0), A.form("y", 2)));
 }
 
 TEST_P(CowTest, ChainedCopiesDetachIndependently) {
@@ -345,11 +345,11 @@ TEST_P(CowTest, ChainedCopiesDetachIndependently) {
   ConstraintGraph C = B;
   C.addLE("x", "y", 2);
   B.addLE("x", "y", 3);
-  EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 4)));
-  EXPECT_FALSE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 3)));
-  EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 3)));
-  EXPECT_FALSE(B.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
-  EXPECT_TRUE(C.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
+  EXPECT_TRUE(A.provesLE(A.form("x", 0), A.form("y", 4)));
+  EXPECT_FALSE(A.provesLE(A.form("x", 0), A.form("y", 3)));
+  EXPECT_TRUE(B.provesLE(B.form("x", 0), B.form("y", 3)));
+  EXPECT_FALSE(B.provesLE(B.form("x", 0), B.form("y", 2)));
+  EXPECT_TRUE(C.provesLE(C.form("x", 0), C.form("y", 2)));
 }
 
 TEST_P(CowTest, RemoveVarsOnSharedHandleDetachesOnce) {
@@ -541,13 +541,14 @@ TEST_P(ClosedFormPropertyTest, EquivalentFormsAreProvablyEqual) {
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(5, Seed);
     // Pin a couple of equalities so equivalentForms has something to find.
-    G.addEQ(LinearExpr(name(0), 0), LinearExpr(name(1), 3));
-    G.addEQ(LinearExpr(name(3), 0), LinearExpr(42));
+    G.addEQ(G.form(name(0)), G.form(name(1), 3));
+    G.addEQ(G.form(name(3)), LinearExpr(42));
     for (unsigned V = 0; V < 5; ++V) {
-      LinearExpr E(name(V), 1);
+      LinearExpr E = G.form(name(V), 1);
       for (const LinearExpr &Form : G.equivalentForms(E))
         EXPECT_TRUE(G.provesEQ(E, Form))
-            << "seed " << Seed << ": " << E.str() << " vs " << Form.str();
+            << "seed " << Seed << ": " << E.str(G.symbols()) << " vs "
+            << Form.str(G.symbols());
     }
   }
 }
@@ -558,15 +559,15 @@ TEST_P(ClosedFormPropertyTest, ResolvedFormQueriesMatchStringQueries) {
     for (unsigned I = 0; I < 5; ++I) {
       for (unsigned J = 0; J < 5; ++J) {
         for (std::int64_t C : {-3, 0, 3}) {
-          LinearExpr L(name(I), 0), R(name(J), C);
+          LinearExpr L = G.form(name(I)), R = G.form(name(J), C);
           EXPECT_EQ(G.provesLE(G.resolve(L), G.resolve(R)),
                     G.provesLE(L, R))
               << "seed " << Seed;
         }
       }
     }
-    // Forms mentioning unknown variables behave like the string path too.
-    LinearExpr Unknown("never-seen", 0);
+    // Forms mentioning unknown variables behave like the unresolved path.
+    LinearExpr Unknown = G.form("never-seen");
     EXPECT_EQ(G.provesLE(G.resolve(Unknown), G.resolve(LinearExpr(5))),
               G.provesLE(Unknown, LinearExpr(5)));
     EXPECT_EQ(G.provesLE(G.resolve(Unknown), G.resolve(Unknown)),

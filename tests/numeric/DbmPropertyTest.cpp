@@ -121,8 +121,8 @@ TEST_P(DbmPropertyTest, WideningChainStabilizes) {
   int Steps = 0;
   for (; Steps < 20; ++Steps) {
     ConstraintGraph Next = State;
-    Next.assign("x", LinearExpr("x", static_cast<std::int64_t>(
-                                         R.range(1, 3))));
+    Next.assign("x", Next.form("x", static_cast<std::int64_t>(
+                                        R.range(1, 3))));
     ConstraintGraph W = State;
     W.widenWith(Next);
     if (W.equals(State))
@@ -244,7 +244,7 @@ constBounds(const ConstraintGraph &G, const std::string &X) {
     }
     return Hi;
   };
-  LinearExpr Var(X, 0);
+  LinearExpr Var = G.form(X);
   auto Upper = Tightest([&](std::int64_t C) {
     return G.provesLE(Var, LinearExpr(C));
   });

@@ -53,8 +53,8 @@ protected:
 
 TEST_F(MatcherTest, ShiftPairFullMatch) {
   // Senders [0..np-2] -> id+1; receivers [1..np-1] <- id-1.
-  CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr("np", -2)));
-  CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr("np", -1)));
+  CommDesc Send = idShift(1, ProcRange(LinearExpr(0), Cg.form("np", -2)));
+  CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), Cg.form("np", -1)));
   auto M = tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_TRUE(M->SenderFull);
@@ -62,8 +62,8 @@ TEST_F(MatcherTest, ShiftPairFullMatch) {
 }
 
 TEST_F(MatcherTest, ShiftPairWrongOffsetsNoMatch) {
-  CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr("np", -2)));
-  CommDesc Recv = idShift(-2, ProcRange(LinearExpr(2), LinearExpr("np", -1)));
+  CommDesc Send = idShift(1, ProcRange(LinearExpr(0), Cg.form("np", -2)));
+  CommDesc Recv = idShift(-2, ProcRange(LinearExpr(2), Cg.form("np", -1)));
   EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
 }
 
@@ -71,7 +71,7 @@ TEST_F(MatcherTest, ShiftPairPartialReceivers) {
   // Senders [0..0] -> id+1; receivers [1..np-1] <- id-1: only receiver 1
   // can match; the rest stays blocked.
   CommDesc Send = idShift(1, ProcRange(LinearExpr(0), LinearExpr(0)));
-  CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), LinearExpr("np", -1)));
+  CommDesc Recv = idShift(-1, ProcRange(LinearExpr(1), Cg.form("np", -1)));
   auto M = tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict);
   ASSERT_TRUE(M.has_value());
   EXPECT_TRUE(M->SenderFull);
@@ -85,8 +85,8 @@ TEST_F(MatcherTest, UniformDestPinsSingleSender) {
   // Workers [1..np-1] all send to 0; root receives from i == 2.
   Cg.assign("p0.i", LinearExpr(2));
   CommDesc Send =
-      uniform(LinearExpr(0), ProcRange(LinearExpr(1), LinearExpr("np", -1)));
-  CommDesc Recv = uniform(LinearExpr("p0.i", 0),
+      uniform(LinearExpr(0), ProcRange(LinearExpr(1), Cg.form("np", -1)));
+  CommDesc Recv = uniform(Cg.form("p0.i", 0),
                           ProcRange(LinearExpr(0), LinearExpr(0)));
   // Receiver side: the root's claimed source is i; the matched sender is
   // {i}, split out of the worker set.
@@ -104,7 +104,7 @@ TEST_F(MatcherTest, UniformDestWrongClaimedSourceNoMatch) {
   // Sender is {3}, but receiver claims its source is i == 2.
   CommDesc Send =
       uniform(LinearExpr(0), ProcRange(LinearExpr(3), LinearExpr(3)));
-  CommDesc Recv = uniform(LinearExpr("p0.i", 0),
+  CommDesc Recv = uniform(Cg.form("p0.i", 0),
                           ProcRange(LinearExpr(0), LinearExpr(0)));
   EXPECT_FALSE(tryMatch(Opts, Send, Recv, Cg, Facts, Memo, TagConflict));
 }
@@ -131,7 +131,7 @@ TEST_F(MatcherTest, HsmStrategyMatchesTranspose) {
   Facts.addRewrite("np", Poly::var("nrows").times(Poly::var("nrows")));
   const Expr *E = parseExpr("(id % nrows) * nrows + id / nrows");
   CommDesc Send;
-  Send.Range = ProcRange::all();
+  Send.Range = ProcRange::all(*Cg.symbolsPtr());
   Send.PartnerAst = E;
   Send.PartnerGlobalsOnly = true;
   Send.Tag = LinearExpr(0);
@@ -146,7 +146,7 @@ TEST_F(MatcherTest, HsmStrategyRequiresGlobalsOnly) {
   AnalysisOptions HsmOpts = AnalysisOptions::cartesian();
   const Expr *E = parseExpr("(id % nrows) * nrows + id / nrows");
   CommDesc Send;
-  Send.Range = ProcRange::all();
+  Send.Range = ProcRange::all(*Cg.symbolsPtr());
   Send.PartnerAst = E;
   Send.PartnerGlobalsOnly = false; // e.g. nrows were assigned somewhere.
   Send.Tag = LinearExpr(0);
@@ -155,15 +155,15 @@ TEST_F(MatcherTest, HsmStrategyRequiresGlobalsOnly) {
 }
 
 TEST_F(MatcherTest, BoundToGlobalPolyPrefersGlobals) {
-  Cg.assign("p0.lo$", LinearExpr("np", -1));
-  SymBound B(LinearExpr("p0.lo$", 0));
+  Cg.assign("p0.lo$", Cg.form("np", -1));
+  SymBound B(Cg.form("p0.lo$", 0));
   auto P = boundToGlobalPoly(B, Cg);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(*P, Poly::var("np").minus(Poly(1)));
 }
 
 TEST_F(MatcherTest, BoundToGlobalPolyFailsOnUnresolvedLocal) {
-  SymBound B(LinearExpr("p0.mystery", 0));
+  SymBound B(Cg.form("p0.mystery", 0));
   EXPECT_FALSE(boundToGlobalPoly(B, Cg).has_value());
 }
 

@@ -25,14 +25,14 @@ protected:
   }
 
   std::vector<Program> Programs;
-  ProcSetEntry Set = [] {
+  ConstraintGraph Cg;
+  ProcSetEntry Set = [this] {
     ProcSetEntry E;
     E.Name = "p0";
-    E.Range = ProcRange::all();
+    E.Range = ProcRange::all(*Cg.symbolsPtr());
     return E;
   }();
   std::set<std::string> Assigned = {"i", "x", "w"};
-  ConstraintGraph Cg;
 };
 
 TEST_F(PartnerExprTest, MatchIdPlusCForms) {
@@ -61,13 +61,13 @@ TEST_F(PartnerExprTest, ClassifiesConstant) {
 TEST_F(PartnerExprTest, ScopesAssignedVariables) {
   PartnerExpr P = classify("i + 1");
   ASSERT_TRUE(P.isUniform());
-  EXPECT_EQ(P.Value, LinearExpr("p0.i", 1));
+  EXPECT_EQ(P.Value, Cg.form("p0.i", 1));
 }
 
 TEST_F(PartnerExprTest, GlobalsStayUnscoped) {
   PartnerExpr P = classify("np - 1");
   ASSERT_TRUE(P.isUniform());
-  EXPECT_EQ(P.Value, LinearExpr("np", -1));
+  EXPECT_EQ(P.Value, Cg.form("np", -1));
 }
 
 TEST_F(PartnerExprTest, NonUniformVarOnMultiSetIsComplex) {
@@ -80,7 +80,7 @@ TEST_F(PartnerExprTest, NonUniformVarOnSingletonIsUniform) {
   Set.Range = ProcRange::singleton(LinearExpr(3));
   PartnerExpr P = classify("x + 1");
   ASSERT_TRUE(P.isUniform());
-  EXPECT_EQ(P.Value, LinearExpr("p0.x", 1));
+  EXPECT_EQ(P.Value, Cg.form("p0.x", 1));
 }
 
 TEST_F(PartnerExprTest, TransposeExprIsComplex) {
@@ -91,7 +91,7 @@ TEST_F(PartnerExprTest, SymbolicShiftResolvesWhenPinned) {
   // Without a pinned value, `id + ncols` is Complex.
   EXPECT_TRUE(classify("id + ncols").isComplex());
   // Pinning ncols turns it into a plain shift.
-  Cg.addEQ(LinearExpr("ncols", 0), LinearExpr(4));
+  Cg.addEQ(Cg.form("ncols", 0), LinearExpr(4));
   PartnerExpr P = classify("id + ncols");
   ASSERT_TRUE(P.isIdPlusC());
   EXPECT_EQ(P.Offset, 4);
@@ -102,8 +102,8 @@ TEST_F(PartnerExprTest, SymbolicShiftResolvesWhenPinned) {
 
 TEST_F(PartnerExprTest, NonLinearUniformResolvesWhenPinned) {
   EXPECT_TRUE(classify("np - ncols").isComplex());
-  Cg.addEQ(LinearExpr("ncols", 0), LinearExpr(4));
-  Cg.addEQ(LinearExpr("np", 0), LinearExpr(12));
+  Cg.addEQ(Cg.form("ncols", 0), LinearExpr(4));
+  Cg.addEQ(Cg.form("np", 0), LinearExpr(12));
   PartnerExpr P = classify("np - ncols");
   ASSERT_TRUE(P.isUniform());
   EXPECT_EQ(P.Value, LinearExpr(8));

@@ -8,6 +8,28 @@ using namespace csdf;
 
 namespace {
 
+/// One table for every state of this file, as one analysis run shares
+/// one: bound forms compare by id, so states that meet in a join or an
+/// equality check must intern into the same table.
+const SymbolTablePtr &sharedSymbols() {
+  static const SymbolTablePtr Syms = std::make_shared<SymbolTable>();
+  return Syms;
+}
+
+SymbolTable &syms() { return *sharedSymbols(); }
+
+PcfgState newState() {
+  PcfgState St;
+  St.Cg = ConstraintGraph(DbmBackend::Dense, &StatsRegistry::global(),
+                          sharedSymbols());
+  return St;
+}
+
+/// The form `Name + C` over the shared table.
+LinearExpr form(const std::string &Name, std::int64_t C) {
+  return LinearExpr(syms().intern(Name), C);
+}
+
 ProcSetEntry makeSet(const std::string &Name, ProcRange Range,
                      CfgNodeId Node) {
   ProcSetEntry E;
@@ -18,7 +40,7 @@ ProcSetEntry makeSet(const std::string &Name, ProcRange Range,
 }
 
 TEST(PcfgStateTest, ScopedVarSeparatesGlobalsFromLocals) {
-  ProcSetEntry Set = makeSet("p0", ProcRange::all(), 0);
+  ProcSetEntry Set = makeSet("p0", ProcRange::all(syms()), 0);
   std::set<std::string> Assigned = {"x", "i"};
   EXPECT_EQ(PcfgState::scopedVar(Set, "x", Assigned), "p0.x");
   EXPECT_EQ(PcfgState::scopedVar(Set, "np", Assigned), "np");
@@ -26,9 +48,9 @@ TEST(PcfgStateTest, ScopedVarSeparatesGlobalsFromLocals) {
 }
 
 TEST(PcfgStateTest, RenameSetMovesVariablesAndRangeReferences) {
-  PcfgState St;
-  St.Sets.push_back(makeSet("s7", ProcRange(LinearExpr("s7.lo$", 0),
-                                            LinearExpr("np", -1)),
+  PcfgState St = newState();
+  St.Sets.push_back(makeSet("s7", ProcRange(form("s7.lo$", 0),
+                                            form("np", -1)),
                             3));
   St.Cg.assign("s7.lo$", LinearExpr(2));
   St.Cg.assign("s7.i", LinearExpr(5));
@@ -37,17 +59,17 @@ TEST(PcfgStateTest, RenameSetMovesVariablesAndRangeReferences) {
   EXPECT_EQ(St.Cg.constValue("p0.lo$"), 2);
   EXPECT_EQ(St.Cg.constValue("p0.i"), 5);
   EXPECT_FALSE(St.Cg.hasVar("s7.i"));
-  EXPECT_EQ(St.Sets[0].Range.lb().primary(), LinearExpr("p0.lo$", 0));
+  EXPECT_EQ(St.Sets[0].Range.lb().primary(), form("p0.lo$", 0));
 }
 
 TEST(PcfgStateTest, RenameSetLeavesLookalikeNamesAlone) {
   // Renaming namespace p1 must not touch p10's variables or a bare `p1`,
   // in the graph or in any range.
-  PcfgState St;
+  PcfgState St = newState();
   St.Sets.push_back(makeSet(
-      "p1", ProcRange(LinearExpr("p1.lo$", 0), LinearExpr("p10.x", 0)), 0));
+      "p1", ProcRange(form("p1.lo$", 0), form("p10.x", 0)), 0));
   St.Sets.push_back(makeSet(
-      "p10", ProcRange(LinearExpr("p1", 0), LinearExpr("p1.x", 2)), 1));
+      "p10", ProcRange(form("p1", 0), form("p1.x", 2)), 1));
   St.Cg.assign("p1.lo$", LinearExpr(0));
   St.Cg.assign("p10.x", LinearExpr(5));
   St.Cg.assign("p1", LinearExpr(7));
@@ -62,7 +84,7 @@ TEST(PcfgStateTest, RenameSetLeavesLookalikeNamesAlone) {
 }
 
 TEST(PcfgStateTest, CanonicalizeSortsByNodeThenBound) {
-  PcfgState St;
+  PcfgState St = newState();
   St.Sets.push_back(makeSet("a", ProcRange(LinearExpr(5), LinearExpr(9)), 7));
   St.Sets.push_back(makeSet("b", ProcRange(LinearExpr(0), LinearExpr(4)), 3));
   St.canonicalize();
@@ -73,13 +95,13 @@ TEST(PcfgStateTest, CanonicalizeSortsByNodeThenBound) {
 }
 
 TEST(PcfgStateTest, CanonicalizeRenumbersPendingNamespaces) {
-  PcfgState St;
-  St.Sets.push_back(makeSet("p0", ProcRange::all(), 1));
+  PcfgState St = newState();
+  St.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 1));
   PendingSend P;
   P.SendNode = 4;
   P.Seq = 9;
   P.FreezeNs = "q9";
-  P.Senders = ProcRange(LinearExpr("q9.lo", 0), LinearExpr("q9.hi", 0));
+  P.Senders = ProcRange(form("q9.lo", 0), form("q9.hi", 0));
   St.Cg.assign("q9.lo", LinearExpr(1));
   St.Cg.assign("q9.hi", LinearExpr(3));
   St.InFlight.push_back(P);
@@ -88,7 +110,7 @@ TEST(PcfgStateTest, CanonicalizeRenumbersPendingNamespaces) {
   EXPECT_EQ(St.InFlight[0].Seq, 0u);
   EXPECT_EQ(St.Cg.constValue("q0.lo"), 1);
   EXPECT_EQ(St.InFlight[0].Senders.lb().primary(),
-            LinearExpr("q0.lo", 0));
+            form("q0.lo", 0));
 }
 
 /// A CFG with \p N plain nodes, enough for PcfgState::str().
@@ -110,7 +132,7 @@ PendingSend makePending(CfgNodeId Node, unsigned Seq, const std::string &Ns,
   P.SendNode = Node;
   P.Seq = Seq;
   P.FreezeNs = Ns;
-  P.Senders = ProcRange(LinearExpr(LoVar, 0), LinearExpr(HiVar, 0));
+  P.Senders = ProcRange(form(LoVar, 0), form(HiVar, 0));
   St.Cg.assign(LoVar, LinearExpr(Lo));
   St.Cg.assign(HiVar, LinearExpr(Hi));
   return P;
@@ -120,15 +142,15 @@ PendingSend makePending(CfgNodeId Node, unsigned Seq, const std::string &Ns,
 /// on a name another must take, and freeze namespaces out of FIFO order
 /// with one shared by two pieces of a partially consumed send.
 PcfgState permutedState() {
-  PcfgState St;
+  PcfgState St = newState();
   St.Sets.push_back(makeSet("p1", ProcRange(LinearExpr(0), LinearExpr(0)), 3));
   St.Sets.push_back(makeSet("p7", ProcRange(LinearExpr(0), LinearExpr(3)), 1));
   St.Sets.push_back(makeSet(
-      "p0", ProcRange(LinearExpr("p0.lo$", 0), LinearExpr("np", -1)), 3));
+      "p0", ProcRange(form("p0.lo$", 0), form("np", -1)), 3));
   St.Cg.assign("p1.x", LinearExpr(5));
   St.Cg.assign("p7.x", LinearExpr(2));
   St.Cg.assign("p0.lo$", LinearExpr(4));
-  St.Cg.addLE(LinearExpr("p0.x", 0), LinearExpr("np", 0));
+  St.Cg.addLE(form("p0.x", 0), form("np", 0));
   St.Sets[1].NonUniform.insert("y");
   St.InFlight.push_back(makePending(6, 9, "q7", 1, 1, 1, St));
   St.InFlight.push_back(makePending(5, 8, "q2", 0, 0, 0, St));
@@ -153,7 +175,7 @@ TEST(PcfgStateTest, CanonicalizePermutedStateRenumbersEverything) {
   EXPECT_EQ(St.Cg.constValue("p0.x"), 2);
   EXPECT_EQ(St.Cg.constValue("p1.x"), 5);
   EXPECT_EQ(St.Cg.constValue("p2.lo$"), 4);
-  EXPECT_TRUE(St.Cg.provesLE(LinearExpr("p2.x", 0), LinearExpr("np", 0)));
+  EXPECT_TRUE(St.Cg.provesLE(form("p2.x", 0), form("np", 0)));
   EXPECT_EQ(St.Cg.constValue("q0.lo0"), 2);
   EXPECT_EQ(St.Cg.constValue("q0.hi1"), 1);
   EXPECT_FALSE(St.Cg.hasVar("p7.x"));
@@ -171,15 +193,15 @@ TEST(PcfgStateTest, CanonicalizePermutedStateRenumbersEverything) {
 /// The canonical form of permutedState(), built directly so that no
 /// temporary namespace was ever interned into its symbol table.
 PcfgState canonicalState() {
-  PcfgState St;
+  PcfgState St = newState();
   St.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(3)), 1));
   St.Sets.push_back(makeSet("p1", ProcRange(LinearExpr(0), LinearExpr(0)), 3));
   St.Sets.push_back(makeSet(
-      "p2", ProcRange(LinearExpr("p2.lo$", 0), LinearExpr("np", -1)), 3));
+      "p2", ProcRange(form("p2.lo$", 0), form("np", -1)), 3));
   St.Cg.assign("p1.x", LinearExpr(5));
   St.Cg.assign("p0.x", LinearExpr(2));
   St.Cg.assign("p2.lo$", LinearExpr(4));
-  St.Cg.addLE(LinearExpr("p2.x", 0), LinearExpr("np", 0));
+  St.Cg.addLE(form("p2.x", 0), form("np", 0));
   St.Sets[0].NonUniform.insert("y");
   St.InFlight.push_back(makePending(6, 0, "q0", 0, 2, 3, St));
   St.InFlight.push_back(makePending(5, 1, "q1", 0, 0, 0, St));
@@ -228,28 +250,28 @@ TEST(PcfgStateTest, CanonicalizingACanonicalStateIsANoOp) {
 /// tag, value and destination are frozen into its namespace, and an
 /// aggregate with a frozen receiver range.
 PcfgState frozenState() {
-  PcfgState St;
+  PcfgState St = newState();
   St.Sets.push_back(makeSet(
-      "s4", ProcRange(LinearExpr(1), LinearExpr("s4.ub$", 0)), 2));
+      "s4", ProcRange(LinearExpr(1), form("s4.ub$", 0)), 2));
   St.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(0)), 2));
   St.Sets.push_back(makeSet(
-      "s9", ProcRange(LinearExpr("s4.ub$", 1), LinearExpr("np", -1)), 1));
+      "s9", ProcRange(form("s4.ub$", 1), form("np", -1)), 1));
   St.Cg.assign("s4.ub$", LinearExpr(3));
-  St.Cg.assign("s4.i", LinearExpr("np", -2));
-  St.Cg.addLE(LinearExpr("s9.i", 0), LinearExpr("s4.i", 1));
+  St.Cg.assign("s4.i", form("np", -2));
+  St.Cg.addLE(form("s9.i", 0), form("s4.i", 1));
   St.Cg.assign("p0.i", LinearExpr(0));
   PendingSend Plain = makePending(7, 6, "q6", 0, 0, 0, St);
-  St.Cg.assign("q6.tag", LinearExpr("s4.i", 0));
+  St.Cg.assign("q6.tag", form("s4.i", 0));
   St.Cg.assign("q6.val", LinearExpr(11));
-  Plain.Tag = LinearExpr("q6.tag", 0);
-  Plain.Value = LinearExpr("q6.val", 2);
-  Plain.DestUniform = LinearExpr("q6.lo0", 1);
+  Plain.Tag = form("q6.tag", 0);
+  Plain.Value = form("q6.val", 2);
+  Plain.DestUniform = form("q6.lo0", 1);
   St.InFlight.push_back(Plain);
   PendingSend Agg = makePending(5, 2, "q2", 0, 1, 3, St);
   Agg.IsAggregate = true;
   St.Cg.assign("q2.alo", LinearExpr(4));
-  St.Cg.assign("q2.ahi", LinearExpr("np", -1));
-  Agg.AggRange = ProcRange(LinearExpr("q2.alo", 0), LinearExpr("q2.ahi", 0));
+  St.Cg.assign("q2.ahi", form("np", -1));
+  Agg.AggRange = ProcRange(form("q2.alo", 0), form("q2.ahi", 0));
   Agg.Tag = LinearExpr(3);
   St.InFlight.push_back(Agg);
   St.NextSeq = 8;
@@ -306,14 +328,14 @@ TEST(PcfgStateTest, CanonicalizeRenamesEverythingInOnePass) {
   ASSERT_EQ(St.InFlight.size(), 2u);
   const PendingSend &Agg = St.InFlight[0];
   EXPECT_EQ(Agg.FreezeNs, "q0");
-  EXPECT_EQ(Agg.AggRange.str(), "[q0.alo..q0.ahi]");
+  EXPECT_EQ(Agg.AggRange.str(syms()), "[q0.alo..q0.ahi]");
   EXPECT_EQ(Agg.Tag, LinearExpr(3));
   const PendingSend &Plain = St.InFlight[1];
   EXPECT_EQ(Plain.FreezeNs, "q1");
   EXPECT_EQ(Plain.Seq, 1u);
-  EXPECT_EQ(Plain.Tag, LinearExpr("q1.tag", 0));
-  EXPECT_EQ(Plain.Value, LinearExpr("q1.val", 2));
-  EXPECT_EQ(Plain.DestUniform, LinearExpr("q1.lo0", 1));
+  EXPECT_EQ(Plain.Tag, form("q1.tag", 0));
+  EXPECT_EQ(Plain.Value, form("q1.val", 2));
+  EXPECT_EQ(Plain.DestUniform, form("q1.lo0", 1));
   EXPECT_FALSE(statesEqual(St, Before));
   PcfgState Again = frozenState();
   Again.canonicalize();
@@ -324,8 +346,8 @@ TEST(PcfgStateTest, CanonicalizeRenamesEverythingInOnePass) {
 }
 
 TEST(PcfgStateTest, ConfigKeyCoversSetsAndPendings) {
-  PcfgState St;
-  St.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
+  PcfgState St = newState();
+  St.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
   EXPECT_EQ(St.configKey(), "n2;|");
   PendingSend P;
   P.SendNode = 5;
@@ -335,71 +357,71 @@ TEST(PcfgStateTest, ConfigKeyCoversSetsAndPendings) {
 }
 
 TEST(PcfgStateTest, JoinRequiresSameShape) {
-  PcfgState A;
-  A.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
-  PcfgState B;
-  B.Sets.push_back(makeSet("p0", ProcRange::all(), 3)); // Different node.
+  PcfgState A = newState();
+  A.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
+  PcfgState B = newState();
+  B.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 3)); // Different node.
   EXPECT_FALSE(joinStates(A, B));
 }
 
 TEST(PcfgStateTest, JoinKeepsCommonBoundForm) {
   // Old: [1..1] with i == 1; new: [1..2] with i == 2 -> common ub form
   // i... both sides must expose the alias through their own graphs.
-  PcfgState A;
+  PcfgState A = newState();
   A.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(1), LinearExpr(1)), 2));
   A.Cg.assign("p0.i", LinearExpr(1));
-  PcfgState B;
+  PcfgState B = newState();
   B.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(1), LinearExpr(2)), 2));
   B.Cg.assign("p0.i", LinearExpr(2));
   ASSERT_TRUE(joinStates(A, B));
   // The joined bound keeps a stable representation and the CG covers both
   // iterations.
-  EXPECT_TRUE(A.Cg.provesLE(LinearExpr(1), LinearExpr("p0.i", 0)));
-  EXPECT_TRUE(A.Cg.provesLE(LinearExpr("p0.i", 0), LinearExpr(2)));
+  EXPECT_TRUE(A.Cg.provesLE(LinearExpr(1), form("p0.i", 0)));
+  EXPECT_TRUE(A.Cg.provesLE(form("p0.i", 0), LinearExpr(2)));
   // Whatever form was chosen, it must denote the range [1..i] semantically:
   // ub == i must be provable from the stored bound form.
   SymBound Ub = A.Sets[0].Range.ub();
-  EXPECT_TRUE(Ub.provablyEQ(SymBound(LinearExpr("p0.i", 0)), A.Cg));
+  EXPECT_TRUE(Ub.provablyEQ(SymBound(form("p0.i", 0)), A.Cg));
 }
 
 TEST(PcfgStateTest, JoinFailsWithoutCommonForm) {
-  PcfgState A;
+  PcfgState A = newState();
   A.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(1), LinearExpr(1)), 2));
-  PcfgState B;
+  PcfgState B = newState();
   B.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(1), LinearExpr(2)), 2));
   // No variable relates 1 and 2 in either graph.
   EXPECT_FALSE(joinStates(A, B));
 }
 
 TEST(PcfgStateTest, WidenDropsUnstableValueBounds) {
-  PcfgState A;
+  PcfgState A = newState();
   A.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(0)), 2));
   A.Cg.assign("p0.i", LinearExpr(2));
-  PcfgState B;
+  PcfgState B = newState();
   B.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(0)), 2));
   B.Cg.assign("p0.i", LinearExpr(3));
   ASSERT_TRUE(widenStates(A, B));
-  EXPECT_TRUE(A.Cg.provesLE(LinearExpr(2), LinearExpr("p0.i", 0)));
+  EXPECT_TRUE(A.Cg.provesLE(LinearExpr(2), form("p0.i", 0)));
   EXPECT_FALSE(A.Cg.constValue("p0.i").has_value());
 }
 
 TEST(PcfgStateTest, StatesEqualChecksRangesAndGraph) {
-  PcfgState A;
-  A.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
-  PcfgState B;
-  B.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
+  PcfgState A = newState();
+  A.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
+  PcfgState B = newState();
+  B.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
   EXPECT_TRUE(statesEqual(A, B));
   B.Cg.assign("p0.x", LinearExpr(1));
   EXPECT_FALSE(statesEqual(A, B));
 }
 
 TEST(PcfgStateTest, FactsIntersectOnJoin) {
-  PcfgState A;
-  A.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
+  PcfgState A = newState();
+  A.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
   A.Facts.addRewrite("np", Poly::var("nrows").times(Poly::var("nrows")));
   A.Facts.addRewrite("ncols", Poly::var("nrows"));
-  PcfgState B;
-  B.Sets.push_back(makeSet("p0", ProcRange::all(), 2));
+  PcfgState B = newState();
+  B.Sets.push_back(makeSet("p0", ProcRange::all(syms()), 2));
   B.Facts.addRewrite("np", Poly::var("nrows").times(Poly::var("nrows")));
   ASSERT_TRUE(joinStates(A, B));
   // Only the common fact survives.
