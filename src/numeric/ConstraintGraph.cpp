@@ -270,6 +270,35 @@ void ConstraintGraph::copyNamespace(std::string_view From,
   }
 }
 
+void ConstraintGraph::moveNamespace(std::string_view From,
+                                    const std::string &To) {
+  std::vector<unsigned> Moved, Anchors;
+  for (unsigned I = 1; I < Vars.size(); ++I) {
+    std::string_view Name = Syms->name(Vars[I]);
+    if (inNamespace(Name, From))
+      (isAnchorName(Name.substr(From.size() + 1)) ? Anchors : Moved)
+          .push_back(I);
+  }
+  if (Moved.empty()) {
+    removeSlots(std::move(Anchors));
+    return;
+  }
+  close();
+  // The copy of variable I would take row I and column I, and repairing
+  // closure after its two edges relaxes every row through I; the copy
+  // then stands where I stood once the original is projected out.
+  for (unsigned I : Moved) {
+    if (!Cow.ro().Feasible)
+      break;
+    relaxThroughPivot(I);
+  }
+  VarId ToId = Syms->intern(To);
+  for (unsigned I : Moved)
+    Vars[I] = Syms->renamed(Vars[I], ToId);
+  assertDistinct(Vars);
+  removeSlots(std::move(Anchors));
+}
+
 //===----------------------------------------------------------------------===//
 // Constraints and transfer
 //===----------------------------------------------------------------------===//
@@ -459,6 +488,24 @@ void ConstraintGraph::closeAfterEdge(DbmShared &B, unsigned I,
   ScopedNanoTimer Timer(Cells.ClosureNanos);
   if (!kernel::closeAfterEdge(*B.M, I, J))
     B.Feasible = false;
+}
+
+void ConstraintGraph::relaxThroughPivot(unsigned I) {
+  const DbmStorage &M = *Cow.ro().M;
+  // A negative cycle through I; the copy's back edge I -> copy found it.
+  if (M.get(I, I) < 0) {
+    mutableBlock().Feasible = false;
+    return;
+  }
+  assert(M.get(I, I) == 0 && "closure keeps every diagonal at most zero");
+  unsigned N = static_cast<unsigned>(Vars.size());
+  bump(Cells.IncrCalls);
+  bump(Cells.IncrVarsum, N);
+  ScopedNanoTimer Timer(Cells.ClosureNanos);
+  // Read first: a shared block is left alone unless some cell tightens.
+  // With M[I][I] == 0, the edge repair for I -> I is the pivot step.
+  if (kernel::firstRowTightenedThrough(M, I) < N)
+    kernel::closeAfterEdge(*mutableBlock().M, I, I);
 }
 
 //===----------------------------------------------------------------------===//

@@ -226,6 +226,18 @@ public:
   void copyNamespace(std::string_view From, const std::string &To,
                      bool SkipAnchors);
 
+  /// `copyNamespace(From, To, /*SkipAnchors=*/true)` followed by
+  /// `removeNamespace(From)`, up to slot order, without the copy: each
+  /// non-anchor `<From>.<b>` is renamed to `<To>.<b>` in its slot, and
+  /// From's anchors are projected out. The copy's closure repairs are
+  /// kept as single-pivot relaxations through each moved variable, in
+  /// slot order, because a widened matrix is marked closed without being
+  /// closed and those repairs can tighten it; a negative pivot diagonal
+  /// makes the graph infeasible, exactly where the copy's back edge
+  /// would. A shared block is detached only when a relaxation tightens a
+  /// cell. \p To must hold no variable under a moved base.
+  void moveNamespace(std::string_view From, const std::string &To);
+
   //===--------------------------------------------------------------------===
   // Constraints and transfer
   //===--------------------------------------------------------------------===
@@ -402,6 +414,12 @@ private:
   /// Repairs closure after tightening edge (I, J); requires the matrix was
   /// closed before. O(n^2). Delegates to kernel::closeAfterEdge.
   void closeAfterEdge(DbmShared &B, unsigned I, unsigned J) const;
+
+  /// Relaxes the closed matrix through pivot \p I (kernel::closeAfterEdge
+  /// with I == J), or marks the graph infeasible when the pivot's
+  /// diagonal is negative.
+  /// Counts as one incremental closure; detaches only on a change.
+  void relaxThroughPivot(unsigned I);
 
   /// Cached StatsRegistry counter cells, resolved once per fresh graph so
   /// the hot paths (state copies, closures) bump an atomic directly

@@ -101,8 +101,11 @@ void projectBlock(std::int64_t *Dst, const std::int64_t *Src,
       std::int64_t *DstRow = Dst + NI * Stride;
       unsigned NJ = 0;
       for (auto [ColBegin, ColEnd] : Keep) {
-        std::memmove(DstRow + NJ, SrcRow + ColBegin,
-                     (ColEnd - ColBegin) * sizeof(std::int64_t));
+        // In place, the runs before the first victim row and column are
+        // already where they belong.
+        if (DstRow + NJ != SrcRow + ColBegin)
+          std::memmove(DstRow + NJ, SrcRow + ColBegin,
+                       (ColEnd - ColBegin) * sizeof(std::int64_t));
         NJ += ColEnd - ColBegin;
       }
       std::uint8_t Any = 0;

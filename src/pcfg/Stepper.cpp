@@ -323,15 +323,21 @@ private:
       E.Node = Piece.Node;
       E.NonUniform = OldNonUniform;
       E.Range = anchorRange(St, E.Name, E.Range);
-      // Copy the old set's variable valuation: at split time all pieces
-      // agree with the parent exactly. The parent's `lo$`/`ub$` anchor
-      // slots are per-set metadata, not program state — copying them
-      // would contradict the piece's own freshly assigned anchors.
-      St.Cg.copyNamespace(OldName, E.Name, /*SkipAnchors=*/true);
+      // Give the piece the old set's variable valuation: at split time all
+      // pieces agree with the parent exactly. The parent's `lo$`/`ub$`
+      // anchor slots are per-set metadata, not program state — copying
+      // them would contradict the piece's own freshly assigned anchors.
+      // The last piece takes the parent's variables over, which drops the
+      // parent's namespace.
+      if (&Piece != &Pieces.back())
+        St.Cg.copyNamespace(OldName, E.Name, /*SkipAnchors=*/true);
+      else
+        St.Cg.moveNamespace(OldName, E.Name);
       NewIndices.push_back(St.Sets.size());
       St.Sets.push_back(std::move(E));
     }
-    St.dropSetVars(St.Sets[Idx]);
+    if (Pieces.empty())
+      St.dropSetVars(St.Sets[Idx]);
     St.Sets.erase(St.Sets.begin() + static_cast<long>(Idx));
     for (size_t &I : NewIndices)
       --I; // Account for the erased entry before them.

@@ -19,6 +19,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -231,6 +232,49 @@ TEST(ClosureKernelTest, EdgeRepairDetectsNegativeCycle) {
   DenseDbmStorage Ref = M;
   EXPECT_FALSE(kernel::closeAfterEdgeDense(M, 7, 3));
   EXPECT_FALSE(kernel::closeAfterEdgeRef(Ref, 7, 3));
+}
+
+//===----------------------------------------------------------------------===//
+// Single-pivot relaxation vs oracle
+//===----------------------------------------------------------------------===//
+
+TEST(ClosureKernelTest, PivotRelaxationMatchesOracle) {
+  std::mt19937 Rng(1909);
+  unsigned Tightened = 0;
+  for (unsigned N : {2u, 17u, 64u}) {
+    for (int Round = 0; Round < 12; ++Round) {
+      // Unclosed matrices stand in for widened ones: some pivots tighten.
+      DenseDbmStorage Base = randomMatrix(Rng, N, 0.25, -5, 40);
+      unsigned I = std::uniform_int_distribution<unsigned>(0, N - 1)(Rng);
+      unsigned First = kernel::firstRowTightenedThroughDense(Base, I);
+      EXPECT_EQ(First, kernel::firstRowTightenedThroughRef(Base, I));
+
+      // With a zero diagonal the edge repair for I -> I is the pivot
+      // step the scan predicts.
+      DenseDbmStorage Flat = Base;
+      auto Ref = Base.clone();
+      EXPECT_TRUE(kernel::closeAfterEdgeDense(Flat, I, I));
+      EXPECT_TRUE(kernel::closeAfterEdgeRef(*Ref, I, I));
+      EXPECT_EQ(contents(Flat), contents(*Ref));
+      // Rows before First do not change, row First does, and nothing does
+      // when First is N.
+      for (unsigned A = 0; A < std::min(First, N); ++A)
+        for (unsigned J = 0; J < N; ++J)
+          EXPECT_EQ(Flat.get(A, J), Base.get(A, J));
+      if (First < N) {
+        bool Changed = false;
+        for (unsigned J = 0; J < N; ++J)
+          Changed |= Flat.get(First, J) != Base.get(First, J);
+        EXPECT_TRUE(Changed);
+      }
+      Tightened += First < N;
+      // On a closed matrix no pivot tightens anything.
+      if (kernel::fullCloseDense(Flat)) {
+        EXPECT_EQ(kernel::firstRowTightenedThroughDense(Flat, I), N);
+      }
+    }
+  }
+  EXPECT_GT(Tightened, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 using namespace csdf;
@@ -141,7 +142,8 @@ TEST(SymbolTableTest, ConcurrentRenamesAgree) {
 
 /// A random graph over namespaced variables: p1's and p10's, a bare `p1`,
 /// a global `np`, and `$` anchor slots, in a seed-dependent slot order.
-ConstraintGraph namespacedGraph(std::uint64_t Seed, StatsRegistry *Stats) {
+ConstraintGraph namespacedGraph(std::uint64_t Seed, StatsRegistry *Stats,
+                                DbmBackend Backend = DbmBackend::Dense) {
   static const char *const Names[] = {"p1.x",  "p10.x", "p1",   "np",
                                       "p1.y",  "p1.lo$", "p2.x", "p10.lo$",
                                       "p1.ub$", "p2.y"};
@@ -153,7 +155,7 @@ ConstraintGraph namespacedGraph(std::uint64_t Seed, StatsRegistry *Stats) {
     S ^= S >> 27;
     return S * 0x2545F4914F6CDD1Dull;
   };
-  ConstraintGraph G(DbmBackend::Dense, Stats);
+  ConstraintGraph G(Backend, Stats);
   for (unsigned I = 0; I < N; ++I)
     G.ensureVar(Names[(I + Seed) % N]);
   for (unsigned E = 0; E < 12; ++E) {
@@ -254,6 +256,117 @@ TEST(NamespaceTest, CopyNamespaceAddsTheSameEdgesInTheSameOrder) {
       EXPECT_EQ(StatsById.counter("cg.closure.full.calls"),
                 StatsByName.counter("cg.closure.full.calls"));
     }
+  }
+}
+
+/// The states moveNamespace must handle, over namespacedGraph(Seed):
+/// closed; widened, where `p1 <= np` is raised past the path
+/// `p1 <= p1.x + 1`, `p1.x <= np + 1` that a relaxation through `p1.x`
+/// restores; and widened, then given `np <= p1 - 11`, whose repair
+/// leaves a negative diagonal on `p1.x` in a matrix still marked
+/// feasible.
+enum class MoveInput { Closed, Widened, NegativePivot };
+
+ConstraintGraph moveInput(std::uint64_t Seed, MoveInput Kind,
+                          StatsRegistry *Stats, DbmBackend Backend) {
+  ConstraintGraph G = namespacedGraph(Seed, Stats, Backend);
+  if (Kind == MoveInput::Closed) {
+    G.close();
+    return G;
+  }
+  G.addLE("p1", "p1.x", 1);
+  G.addLE("p1.x", "np", 1);
+  ConstraintGraph Weaker = G;
+  G.addLE("p1", "np", 0);
+  G.widenWith(Weaker);
+  if (Kind == MoveInput::NegativePivot)
+    G.addLE("np", "p1", -11);
+  return G;
+}
+
+/// copyNamespace(From, To, true) then removeNamespace(From): the oracle.
+ConstraintGraph copyThenDrop(ConstraintGraph G, const std::string &From,
+                             const std::string &To) {
+  G.copyNamespace(From, To, /*SkipAnchors=*/true);
+  G.removeNamespace(From);
+  return G;
+}
+
+std::vector<std::string> sortedNames(const ConstraintGraph &G) {
+  std::vector<std::string> Names = G.varNames();
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+TEST(NamespaceTest, MoveNamespaceMatchesCopyThenDrop) {
+  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+    unsigned Tightened = 0, CaughtByPivot = 0;
+    for (MoveInput Kind : {MoveInput::Closed, MoveInput::Widened,
+                           MoveInput::NegativePivot}) {
+      for (std::uint64_t Seed = 1; Seed <= 16; ++Seed) {
+        for (const char *From : {"p1", "p2", "p10", "p7"}) {
+          SCOPED_TRACE(testing::Message()
+                       << "backend " << static_cast<int>(Backend) << " kind "
+                       << static_cast<int>(Kind) << " seed " << Seed
+                       << " from " << From);
+          ConstraintGraph Moved = moveInput(Seed, Kind, nullptr, Backend);
+          ConstraintGraph Oracle = copyThenDrop(Moved, From, "s9");
+          // A move with no relaxation: rename, then drop the anchors.
+          ConstraintGraph Renamed = Moved;
+          Renamed.removeVarsIf([&](std::string_view Ns, std::string_view B) {
+            return Ns == From && isAnchorName(B);
+          });
+          Renamed.renameNamespace(From, "s9");
+          const bool FeasibleBefore = Moved.isFeasible();
+
+          Moved.moveNamespace(From, "s9");
+          EXPECT_EQ(Moved.isFeasible(), Oracle.isFeasible());
+          EXPECT_TRUE(Moved.equals(Oracle));
+          EXPECT_TRUE(Oracle.equals(Moved));
+          EXPECT_EQ(sortedNames(Moved), sortedNames(Oracle));
+          EXPECT_FALSE(Moved.hasVar(std::string(From) + ".x"));
+          Tightened += Moved.isFeasible() && !Moved.equals(Renamed);
+          CaughtByPivot += FeasibleBefore && !Moved.isFeasible();
+        }
+      }
+    }
+    // Both reasons the relaxations are kept do occur in these inputs.
+    EXPECT_GT(Tightened, 0u);
+    EXPECT_GT(CaughtByPivot, 0u);
+  }
+}
+
+TEST(NamespaceTest, MoveNamespaceDetachesOnlyWhenItTightens) {
+  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+    // No-op: a closed block, and `p2` has no anchors to project out.
+    StatsRegistry Stats;
+    ConstraintGraph G = moveInput(3, MoveInput::Closed, &Stats, Backend);
+    ConstraintGraph Keep = G;
+    const std::string Before = Keep.str();
+    const std::int64_t Detaches = Stats.counter("cg.cow.detaches");
+    G.moveNamespace("p2", "s9");
+    EXPECT_EQ(Stats.counter("cg.cow.detaches"), Detaches);
+    EXPECT_TRUE(G.sharesStorage());
+    EXPECT_TRUE(G.hasVar("s9.x"));
+    EXPECT_EQ(Keep.str(), Before);
+
+    // Tightening: widening raised `a <= c` past `a <= p2.x + 1`,
+    // `p2.x <= c + 1`; the move restores `a <= c + 2` in a private block.
+    ConstraintGraph W(Backend, &Stats);
+    W.addLE("a", "p2.x", 1);
+    W.addLE("p2.x", "c", 1);
+    ConstraintGraph Weaker = W;
+    W.addLE("a", "c", 0);
+    W.widenWith(Weaker);
+    EXPECT_FALSE(W.bestBound("a", "c").has_value());
+    ConstraintGraph Shared = W;
+    const std::string SharedBefore = Shared.str();
+    const std::int64_t WDetaches = Stats.counter("cg.cow.detaches");
+    W.moveNamespace("p2", "s9");
+    EXPECT_EQ(Stats.counter("cg.cow.detaches"), WDetaches + 1);
+    EXPECT_EQ(W.bestBound("a", "c"), std::optional<std::int64_t>(2));
+    EXPECT_EQ(Shared.str(), SharedBefore);
+    EXPECT_FALSE(Shared.bestBound("a", "c").has_value());
   }
 }
 

@@ -16,12 +16,25 @@ alter the work updates tools/work-counts.json and says why in CHANGES.md.
 
 Exit status: 0 when every count matches, 1 on a mismatch or a missing
 metric, 2 on a usage error.
+
+A change that means to alter the work records the new counts with
+
+    python3 tools/check-work-counts.py --record --workload phases_cold \\
+        result.json
+
+which rewrites the values of the keys already recorded for the workload
+(it adds and drops none) and names the tree the run was made on, from
+`git describe --always --dirty`, in the file's `about` text: a commit, or
+the uncommitted change on top of one. It refuses a result whose run
+failed a reply or lacks a recorded key.
 """
 
 import argparse
 import json
 import math
 import os
+import re
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,14 +42,55 @@ COUNTS = os.path.join(ROOT, "tools", "work-counts.json")
 REL_TOL = 1e-9
 
 
+def record(counts, workload, result):
+    """Rewrites \\p workload's recorded keys from \\p result in place."""
+    if result.get("failed", 0) > 0 or not result.get("correct", False):
+        print(f"check-work-counts: refusing to record a run with "
+              f"{result.get('failed', 0)} failed replies", file=sys.stderr)
+        return 1
+    metrics = result.get("metrics", {})
+    keys = counts["workloads"][workload]
+    missing = [name for name in keys if name not in metrics]
+    if missing:
+        print(f"check-work-counts: the run lacks {', '.join(missing)}",
+              file=sys.stderr)
+        return 1
+    changed = [name for name in keys if metrics[name]["value"] != keys[name]]
+    for name in changed:
+        print(f"recorded {workload} {name}: {keys[name]!r} -> "
+              f"{metrics[name]['value']!r}")
+        keys[name] = metrics[name]["value"]
+    if not changed:
+        print(f"check-work-counts: {workload} already matches")
+        return 0
+    tree = subprocess.run(
+        ["git", "-C", ROOT, "describe", "--always", "--dirty"],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    if tree.endswith("-dirty"):
+        tree = f"on the uncommitted change after {tree[:-len('-dirty')]}"
+    else:
+        tree = f"at commit {tree}"
+    stamp = f"(Re-recorded for {workload} {tree}: {', '.join(changed)})"
+    about = re.sub(rf" ?\(Re-recorded for {re.escape(workload)} [^)]*\)",
+                   "", counts["about"])
+    counts["about"] = f"{about} {stamp}"
+    with open(COUNTS, "w") as f:
+        json.dump(counts, f, indent=2)
+        f.write("\n")
+    return 0
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
+    p.add_argument("--record", action="store_true",
+                   help="rewrite the workload's recorded counts from the run")
     p.add_argument("result", help="file holding perfbench's result line")
     args = p.parse_args()
 
     with open(COUNTS) as f:
-        recorded = json.load(f)["workloads"]
+        counts = json.load(f)
+    recorded = counts["workloads"]
     if args.workload not in recorded:
         print(f"check-work-counts: no recorded counts for {args.workload}",
               file=sys.stderr)
@@ -46,7 +100,10 @@ def main():
     if not lines:
         print("check-work-counts: empty result file", file=sys.stderr)
         return 1
-    metrics = json.loads(lines[-1]).get("metrics", {})
+    result = json.loads(lines[-1])
+    if args.record:
+        return record(counts, args.workload, result)
+    metrics = result.get("metrics", {})
 
     bad = 0
     for name, want in recorded[args.workload].items():
