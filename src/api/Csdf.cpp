@@ -11,6 +11,7 @@
 #include "numeric/ConstraintGraph.h"
 #include "numeric/SymbolTable.h"
 #include "support/Budget.h"
+#include "support/Json.h"
 #include "support/ThreadPool.h"
 #include "support/Version.h"
 

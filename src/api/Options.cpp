@@ -6,7 +6,7 @@
 
 #include "api/Options.h"
 
-#include "diag/DiagRenderer.h"
+#include "support/Json.h"
 
 #include <cerrno>
 #include <cstdlib>

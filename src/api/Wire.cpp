@@ -7,7 +7,7 @@
 #include "api/Wire.h"
 
 #include "analysis/Lint.h"
-#include "diag/DiagRenderer.h"
+#include "support/Json.h"
 #include "support/Version.h"
 
 using namespace csdf;

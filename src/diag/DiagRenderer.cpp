@@ -6,43 +6,11 @@
 
 #include "diag/DiagRenderer.h"
 
-#include <cstdio>
+#include "support/Json.h"
+
 #include <sstream>
 
 using namespace csdf;
-
-std::string csdf::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Text with caret snippets

@@ -28,10 +28,6 @@
 
 namespace csdf {
 
-/// Escapes \p S for embedding in a JSON string literal (quotes, backslashes,
-/// control characters).
-std::string jsonEscape(const std::string &S);
-
 /// Renders \p Diags as human-readable text with caret snippets cut from
 /// \p Source. \p FileName is used as the location prefix.
 std::string renderDiagsText(const std::vector<Diagnostic> &Diags,

@@ -6,7 +6,7 @@
 
 #include "driver/Batch.h"
 
-#include "diag/DiagRenderer.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cerrno>

@@ -9,76 +9,17 @@
 #include "api/Wire.h"
 #include "driver/Session.h"
 #include "support/Json.h"
+#include "support/Socket.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <random>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
 using namespace csdf;
 
 namespace {
-
-/// Connects to the daemon's unix socket; -1 on failure.
-int connectUnix(const std::string &Path) {
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size());
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-      0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-/// One attempt: send the line, read one response line. Returns false on
-/// any transport failure (connect refused, EOF mid-response) — all
-/// retryable, since the daemon may be restarting or crashed mid-write.
-bool attempt(const ClientOptions &Opts, const std::string &RequestLine,
-             std::string &ResponseLine) {
-  int Fd = connectUnix(Opts.SocketPath);
-  if (Fd < 0)
-    return false;
-  std::string Out = RequestLine + "\n";
-  size_t Off = 0;
-  while (Off < Out.size()) {
-    // MSG_NOSIGNAL: a daemon that sheds the connection (writes the
-    // overloaded error and closes) must surface as a retryable EPIPE,
-    // not kill the client with SIGPIPE.
-    ssize_t N = ::send(Fd, Out.data() + Off, Out.size() - Off, MSG_NOSIGNAL);
-    if (N <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  std::string Buf;
-  char Chunk[4096];
-  size_t Nl;
-  while ((Nl = Buf.find('\n')) == std::string::npos) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N <= 0) {
-      ::close(Fd);
-      return false; // EOF before a full line: daemon died mid-response
-    }
-    Buf.append(Chunk, static_cast<size_t>(N));
-  }
-  ::close(Fd);
-  ResponseLine = Buf.substr(0, Nl);
-  return true;
-}
 
 std::string buildRequest(const ClientOptions &Opts, std::string &Error) {
   api::WireRequest Req;
@@ -189,8 +130,10 @@ int csdf::runClient(const ClientOptions &Opts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(Dist(Rng)));
     }
 
+    // A transport failure (connect refused, EOF before a full line) is
+    // retryable: the daemon may be restarting or crashed mid-write.
     std::string Line;
-    if (!attempt(Opts, RequestLine, Line)) {
+    if (!exchangeLine(Opts.SocketPath, RequestLine, Line)) {
       SawResponse = false;
       ++TransportRetries;
       LastWasOverload = false;

@@ -6,7 +6,6 @@
 
 #include "driver/Lsp.h"
 
-#include "diag/DiagRenderer.h"
 #include "support/Json.h"
 #include "support/Version.h"
 

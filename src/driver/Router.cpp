@@ -6,70 +6,20 @@
 
 #include "driver/Router.h"
 
-#include "diag/DiagRenderer.h"
+#include "driver/Connection.h"
 #include "support/Json.h"
+#include "support/Socket.h"
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
 using namespace csdf;
-
-namespace {
-
-int connectUnix(const std::string &Path) {
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size());
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-      0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-bool writeAllFd(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N <= 0)
-      return false;
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Reads one newline-terminated line; false on EOF or error before it.
-bool readLineFd(int Fd, std::string &Line) {
-  std::string Buf;
-  char Chunk[4096];
-  size_t Nl;
-  while ((Nl = Buf.find('\n')) == std::string::npos) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N <= 0)
-      return false;
-    Buf.append(Chunk, static_cast<size_t>(N));
-  }
-  Line = Buf.substr(0, Nl);
-  return true;
-}
-
-} // namespace
 
 std::string RouterStats::json(std::size_t Backends,
                               std::size_t Healthy) const {
@@ -151,17 +101,6 @@ void RouterServer::admitRelease(const std::string &Tenant) {
       --It->second.Active;
   }
   AdmitCv.notify_all();
-}
-
-bool RouterServer::forwardOnce(const std::string &Backend,
-                               const std::string &Line,
-                               std::string &Response) {
-  int Fd = connectUnix(Backend);
-  if (Fd < 0)
-    return false;
-  bool Ok = writeAllFd(Fd, Line + "\n") && readLineFd(Fd, Response);
-  ::close(Fd);
-  return Ok;
 }
 
 std::vector<std::string> RouterServer::candidates(
@@ -255,7 +194,7 @@ std::string RouterServer::handleLine(const std::string &Line,
   std::string Resp;
   std::string AnsweredBy;
   for (const std::string &Backend : candidates(Key)) {
-    if (!forwardOnce(Backend, Line, Resp)) {
+    if (!exchangeLine(Backend, Line, Resp)) {
       // Demote immediately — the probe will promote it back when it
       // accepts connections again.
       setHealthy(Backend, false);
@@ -298,63 +237,6 @@ std::string RouterServer::handleLine(const std::string &Line,
                         static_cast<int>(Opts.RetryAfterMs));
 }
 
-namespace {
-
-/// Serves one accepted router connection; handleLine is thread-safe, so
-/// connection threads call straight in — concurrent forwarding to
-/// different shards is the point of a fleet front end.
-void routeConnection(RouterServer &Server, int Fd,
-                     std::atomic<bool> &Shutdown,
-                     const RouterOptions &Opts) {
-  timeval Tv{0, 200000};
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-
-  std::string Buf;
-  char Chunk[4096];
-  while (!Shutdown.load()) {
-    size_t Nl = Buf.find('\n');
-    if (Nl == std::string::npos) {
-      if (Buf.size() > Opts.MaxRequestBytes + 4096) {
-        writeAllFd(Fd, api::wireError(
-                           "null", "parse-error",
-                           "request exceeds " +
-                               std::to_string(Opts.MaxRequestBytes) +
-                               " bytes",
-                           /*Retryable=*/false) +
-                           "\n");
-        return;
-      }
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N == 0)
-        return;
-      if (N < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue;
-        return;
-      }
-      Buf.append(Chunk, static_cast<size_t>(N));
-      continue;
-    }
-    std::string Line = Buf.substr(0, Nl);
-    Buf.erase(0, Nl + 1);
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    if (Line.empty())
-      continue;
-    bool WantShutdown = false;
-    std::string Resp = Server.handleLine(Line, WantShutdown);
-    bool Wrote = writeAllFd(Fd, Resp + "\n");
-    if (WantShutdown) {
-      Shutdown.store(true);
-      return;
-    }
-    if (!Wrote)
-      return;
-  }
-}
-
-} // namespace
-
 int csdf::runRouter(const RouterOptions &Opts) {
   if (Opts.Backends.empty()) {
     std::fprintf(stderr,
@@ -366,28 +248,10 @@ int csdf::runRouter(const RouterOptions &Opts) {
     return 2;
   }
 
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Opts.SocketPath.size() >= sizeof(Addr.sun_path)) {
-    std::fprintf(stderr, "csdf: error: socket path too long: '%s'\n",
-                 Opts.SocketPath.c_str());
-    return 2;
-  }
-  std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-              Opts.SocketPath.size());
-
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  std::string ListenError;
+  int Fd = listenUnix(Opts.SocketPath, ListenError);
   if (Fd < 0) {
-    std::fprintf(stderr, "csdf: error: socket: %s\n", std::strerror(errno));
-    return 2;
-  }
-  ::unlink(Opts.SocketPath.c_str());
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, 64) != 0) {
-    std::fprintf(stderr, "csdf: error: cannot listen on '%s': %s\n",
-                 Opts.SocketPath.c_str(), std::strerror(errno));
-    ::close(Fd);
+    std::fprintf(stderr, "csdf: error: %s\n", ListenError.c_str());
     return 2;
   }
 
@@ -412,7 +276,9 @@ int csdf::runRouter(const RouterOptions &Opts) {
     }
   });
 
-  std::vector<std::thread> Threads;
+  // handleLine is thread-safe, so connection threads call straight in:
+  // concurrent forwarding to different shards is the point of a fleet.
+  ConnectionThreads Threads;
   while (!Shutdown.load()) {
     pollfd P{Fd, POLLIN, 0};
     int R = ::poll(&P, 1, 200);
@@ -429,14 +295,16 @@ int csdf::runRouter(const RouterOptions &Opts) {
         continue;
       break;
     }
-    Threads.emplace_back([&Server, &Shutdown, &Opts, Conn]() {
-      routeConnection(Server, Conn, Shutdown, Opts);
+    Threads.spawn([&Server, &Shutdown, &Opts, Conn]() {
+      serveLines(Conn, Opts.MaxRequestBytes, Shutdown,
+                 [&Server](const std::string &Line, bool &Stop) {
+                   return Server.handleLine(Line, Stop);
+                 });
       ::close(Conn);
     });
   }
   Server.releaseWaiters();
-  for (std::thread &T : Threads)
-    T.join();
+  Threads.joinAll();
   Prober.join();
   ::close(Fd);
   ::unlink(Opts.SocketPath.c_str());

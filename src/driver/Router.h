@@ -125,11 +125,6 @@ private:
   bool admitAcquire(const std::string &Tenant);
   void admitRelease(const std::string &Tenant);
 
-  /// Forwards \p Line to \p Backend and reads one response line; false
-  /// on any transport failure.
-  bool forwardOnce(const std::string &Backend, const std::string &Line,
-                   std::string &Response);
-
   /// The candidate shards for \p Key: ring successors, healthy first
   /// (unhealthy ones are kept as a last resort — a probe may be stale).
   std::vector<std::string> candidates(const std::string &Key) const;

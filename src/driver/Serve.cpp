@@ -7,9 +7,12 @@
 #include "driver/Serve.h"
 
 #include "diag/DiagRenderer.h"
+#include "driver/Connection.h"
 #include "driver/Session.h"
 #include "numeric/MemoSnapshot.h"
 #include "support/Fault.h"
+#include "support/Json.h"
+#include "support/Socket.h"
 #include "support/Stats.h"
 #include "support/Version.h"
 
@@ -18,14 +21,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <optional>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -432,75 +432,6 @@ void csdf::runServeLoop(ServeServer &Server, std::istream &In,
 
 namespace {
 
-bool writeAllFd(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
-    if (N <= 0)
-      return false;
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Serves one accepted socket connection with the line protocol.
-/// handleLine calls are serialized through \p Mu; reads poll with a short
-/// timeout so the thread notices a daemon-wide shutdown promptly.
-void serveConnection(ServeServer &Server, std::mutex &Mu, int Fd,
-                     std::atomic<bool> &Shutdown, const ServeOptions &Opts) {
-  timeval Tv{0, 200000};
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-
-  std::string Buf;
-  char Chunk[4096];
-  while (!Shutdown.load()) {
-    size_t Nl = Buf.find('\n');
-    if (Nl == std::string::npos) {
-      // A runaway line (no newline past the cap) is answered and the
-      // connection dropped — the daemon never buffers without bound.
-      if (Buf.size() > Opts.MaxRequestBytes + 4096) {
-        writeAllFd(Fd, api::wireError(
-                           "null", "parse-error",
-                           "request exceeds " +
-                               std::to_string(Opts.MaxRequestBytes) +
-                               " bytes",
-                           /*Retryable=*/false) +
-                           "\n");
-        return;
-      }
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N == 0)
-        return; // client EOF
-      if (N < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue; // timeout: re-check Shutdown
-        return;
-      }
-      Buf.append(Chunk, static_cast<size_t>(N));
-      continue;
-    }
-    std::string Line = Buf.substr(0, Nl);
-    Buf.erase(0, Nl + 1);
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    if (Line.empty())
-      continue;
-    std::string Resp;
-    bool WantShutdown = false;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Resp = Server.handleLine(Line, WantShutdown);
-    }
-    bool Wrote = writeAllFd(Fd, Resp + "\n");
-    if (WantShutdown) {
-      Shutdown.store(true);
-      return;
-    }
-    if (!Wrote)
-      return;
-  }
-}
-
 /// A shed connection that has its `overloaded` line and a half-closed
 /// write side, waiting for the client to finish with it.
 struct ShedPeer {
@@ -525,7 +456,7 @@ constexpr std::size_t MaxShedPeers = 256;
 /// ShedDrainTime passes, alongside accepting — an idle shed client delays
 /// nobody.
 void shedConnection(int Conn) {
-  writeAllFd(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
+  sendAll(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
   ::shutdown(Conn, SHUT_WR);
 }
 
@@ -553,28 +484,10 @@ int csdf::runServe(const ServeOptions &Opts) {
     return 0;
   }
 
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Opts.SocketPath.size() >= sizeof(Addr.sun_path)) {
-    std::fprintf(stderr, "csdf: error: socket path too long: '%s'\n",
-                 Opts.SocketPath.c_str());
-    return 2;
-  }
-  std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-              Opts.SocketPath.size());
-
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  std::string ListenError;
+  int Fd = listenUnix(Opts.SocketPath, ListenError);
   if (Fd < 0) {
-    std::fprintf(stderr, "csdf: error: socket: %s\n", std::strerror(errno));
-    return 2;
-  }
-  ::unlink(Opts.SocketPath.c_str());
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, 64) != 0) {
-    std::fprintf(stderr, "csdf: error: cannot listen on '%s': %s\n",
-                 Opts.SocketPath.c_str(), std::strerror(errno));
-    ::close(Fd);
+    std::fprintf(stderr, "csdf: error: %s\n", ListenError.c_str());
     return 2;
   }
 
@@ -585,7 +498,7 @@ int csdf::runServe(const ServeOptions &Opts) {
   std::atomic<bool> Shutdown{false};
   std::atomic<unsigned> Inflight{0};
   std::mutex Mu;
-  std::vector<std::thread> Threads;
+  ConnectionThreads Threads;
   const unsigned AdmitLimit = Opts.MaxInflight + Opts.QueueDepth;
 
   // Shed connections being drained share the accept loop's poll: Polled[0]
@@ -644,17 +557,19 @@ int csdf::runServe(const ServeOptions &Opts) {
       continue;
     }
     ++Inflight;
-    Threads.emplace_back([&Server, &Mu, &Shutdown, &Inflight, &Opts,
-                          Conn]() {
-      serveConnection(Server, Mu, Conn, Shutdown, Opts);
+    Threads.spawn([&Server, &Mu, &Shutdown, &Inflight, &Opts, Conn]() {
+      serveLines(Conn, Opts.MaxRequestBytes, Shutdown,
+                 [&Server, &Mu](const std::string &Line, bool &Stop) {
+                   std::lock_guard<std::mutex> Lock(Mu);
+                   return Server.handleLine(Line, Stop);
+                 });
       ::close(Conn);
       --Inflight;
     });
   }
   // Drain: every admitted connection finishes its in-flight request and
   // gets its response before the process exits.
-  for (std::thread &T : Threads)
-    T.join();
+  Threads.joinAll();
   for (const ShedPeer &S : Shed)
     ::close(S.Fd);
   ::close(Fd);

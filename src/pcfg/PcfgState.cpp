@@ -12,6 +12,7 @@
 #include <cassert>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 using namespace csdf;
@@ -19,11 +20,19 @@ using namespace csdf;
 namespace {
 
 /// True when \p Name is \p Prefix followed by the decimal digits of \p I.
-bool isNumberedName(const std::string &Name, const std::string &Prefix,
+/// The digits are compared in place, last first, without formatting \p I.
+bool isNumberedName(std::string_view Name, std::string_view Prefix,
                     size_t I) {
-  return Name.compare(0, Prefix.size(), Prefix) == 0 &&
-         Name.compare(Prefix.size(), std::string::npos,
-                      std::to_string(I)) == 0;
+  if (Name.substr(0, Prefix.size()) != Prefix)
+    return false;
+  size_t End = Name.size();
+  do {
+    if (End == Prefix.size() ||
+        Name[--End] != static_cast<char>('0' + I % 10))
+      return false;
+    I /= 10;
+  } while (I != 0);
+  return End == Prefix.size();
 }
 
 } // namespace

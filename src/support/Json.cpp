@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -284,39 +285,6 @@ private:
   size_t Pos = 0;
 };
 
-void writeEscaped(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
 void writeValue(std::ostringstream &OS, const JsonValue &V) {
   if (V.isNull()) {
     OS << "null";
@@ -329,7 +297,7 @@ void writeValue(std::ostringstream &OS, const JsonValue &V) {
     std::snprintf(Buf, sizeof(Buf), "%.17g", V.asDouble());
     OS << Buf;
   } else if (V.isString()) {
-    writeEscaped(OS, V.asString());
+    OS << '"' << jsonEscape(V.asString()) << '"';
   } else if (V.isArray()) {
     OS << '[';
     bool First = true;
@@ -347,8 +315,7 @@ void writeValue(std::ostringstream &OS, const JsonValue &V) {
       if (!First)
         OS << ',';
       First = false;
-      writeEscaped(OS, Key);
-      OS << ':';
+      OS << '"' << jsonEscape(Key) << "\":";
       writeValue(OS, Member);
     }
     OS << '}';
@@ -356,6 +323,39 @@ void writeValue(std::ostringstream &OS, const JsonValue &V) {
 }
 
 } // namespace
+
+std::string csdf::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += static_cast<char>(C);
+      }
+    }
+  }
+  return Out;
+}
 
 std::string JsonValue::str() const {
   std::ostringstream OS;

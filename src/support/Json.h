@@ -9,8 +9,10 @@
 /// protocol (one JSON object per line). The value model is deliberately
 /// tiny: null, bool, int64, double, string, array, object — enough to
 /// parse request envelopes and option bags, not a general-purpose
-/// serialization framework. Writers in this codebase emit JSON by hand
-/// (see DiagRenderer, BatchReport::json); only *reading* needs a parser.
+/// serialization framework. Writers in this codebase build their JSON
+/// text directly (see DiagRenderer, BatchReport::json, Wire) and escape
+/// every string through jsonEscape, the one escaper JsonValue::str()
+/// uses too.
 ///
 /// Numbers that look integral (no '.', 'e', or overflow) parse as int64 so
 /// option fields like "deadline_ms" round-trip exactly; everything else
@@ -87,6 +89,10 @@ private:
                Array, Object>
       V;
 };
+
+/// Escapes \p S for embedding in a JSON string literal (quotes, backslashes,
+/// control characters); the surrounding quotes are not added.
+std::string jsonEscape(const std::string &S);
 
 /// Parses \p Text as one JSON value. Returns false with \p Error set (one
 /// line, with a character offset) on malformed input or trailing garbage.

@@ -6,6 +6,7 @@
 
 #include "diag/DiagRenderer.h"
 #include "diag/DiagnosticEngine.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 

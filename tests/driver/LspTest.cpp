@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Csdf.h"
-#include "diag/DiagRenderer.h"
 #include "driver/Lsp.h"
 #include "support/Json.h"
 #include "support/Version.h"

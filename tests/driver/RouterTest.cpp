@@ -14,17 +14,16 @@
 #include "driver/Router.h"
 
 #include "support/Json.h"
+#include "support/Socket.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <poll.h>
 #include <string>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -52,23 +51,10 @@ public:
   ~StubShard() { stop(); }
 
   bool start() {
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    if (Path.size() >= sizeof(Addr.sun_path))
-      return false;
-    std::memcpy(Addr.sun_path, Path.c_str(), Path.size());
-    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    std::string Error;
+    ListenFd = listenUnix(Path, Error);
     if (ListenFd < 0)
       return false;
-    ::unlink(Path.c_str());
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
-               sizeof(Addr)) != 0 ||
-        ::listen(ListenFd, 16) != 0) {
-      ::close(ListenFd);
-      ListenFd = -1;
-      return false;
-    }
     Running.store(true);
     Acceptor = std::thread([this] { acceptLoop(); });
     return true;
@@ -108,16 +94,9 @@ private:
   }
 
   void serveOne(int Fd) {
-    std::string Buf;
-    char Chunk[4096];
-    size_t Nl;
-    while ((Nl = Buf.find('\n')) == std::string::npos) {
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N <= 0)
-        return; // probe connect (no bytes) or peer gave up
-      Buf.append(Chunk, static_cast<size_t>(N));
-    }
-    std::string Line = Buf.substr(0, Nl);
+    std::string Line;
+    if (!readLine(Fd, Line))
+      return; // probe connect (no bytes) or peer gave up
     {
       std::lock_guard<std::mutex> L(Mu);
       Received.push_back(Line);
@@ -136,15 +115,7 @@ private:
     case Mode::Drop:
       return;
     }
-    Resp += "\n";
-    size_t Off = 0;
-    while (Off < Resp.size()) {
-      ssize_t N = ::send(Fd, Resp.data() + Off, Resp.size() - Off,
-                         MSG_NOSIGNAL);
-      if (N <= 0)
-        return;
-      Off += static_cast<size_t>(N);
-    }
+    sendAll(Fd, Resp + "\n");
   }
 
   const Mode M;

@@ -125,6 +125,57 @@ def get_stats(sock_path):
     return resp["stats"]
 
 
+EXAMPLES_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "examples", "mpl")
+
+
+def check_abandoned_request(proc, sock_path, what, extra=None):
+    """A client sends an `analyze` line for an example and closes before
+    reading the reply, so the reply goes to a closed socket. The process
+    must survive that write (a SIGPIPE would kill it) and keep answering
+    on new connections."""
+    obj = {"type": "analyze",
+           "path": os.path.abspath(os.path.join(EXAMPLES_DIR,
+                                                "broadcast.mpl"))}
+    obj.update(extra or {})
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+        s.connect(sock_path)
+        s.sendall(json.dumps(obj).encode() + b"\n")
+    time.sleep(0.5)  # the analysis finishes and its reply is written
+    if proc.poll() is not None:
+        fail("%s exited rc=%d after a client left before its reply"
+             % (what, proc.returncode))
+    raw, resp = request_json(sock_path, {"type": "stats"})
+    if resp is None or not resp.get("ok"):
+        fail("%s did not answer stats after a client left before its "
+             "reply: %r" % (what, raw))
+    log("%s survived a client that left before its reply" % what)
+
+
+def maps_lines(pid):
+    with open("/proc/%d/maps" % pid) as f:
+        return sum(1 for _ in f)
+
+
+def check_threads_reaped(proc, sock_path, what, warmup=10, more=200,
+                         slack=20):
+    """Sequential connections must not grow the process's mappings: each
+    finished connection thread is joined, so its stack is reused or
+    unmapped rather than kept for the process's lifetime."""
+    for _ in range(warmup):
+        get_stats(sock_path)
+    before = maps_lines(proc.pid)
+    for _ in range(more):
+        get_stats(sock_path)
+    after = maps_lines(proc.pid)
+    if after > before + slack:
+        fail("%s mappings grew from %d to %d lines over %d connections; "
+             "finished connection threads are not reaped"
+             % (what, before, after, more))
+    log("%s mappings %d -> %d lines over %d connections"
+        % (what, before, after, more))
+
+
 def program(i):
     """A tiny distinct-but-deterministic analysis input per index: a
     nearest-neighbor shift with a per-index payload, so every index has

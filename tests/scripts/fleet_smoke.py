@@ -17,6 +17,9 @@ Phases:
      fewer full closure calls than the same corpus against a cold shard.
   5. `csdf client` end to end through the router (--tenant, --verbose
      narrating the answering shard).
+  6. A client that leaves before the router's reply does not kill the
+     router, and 200 sequential connections leave its mappings flat
+     (finished connection threads are reaped).
 
 Usage: fleet_smoke.py <csdf-binary> [stats-dir]
 
@@ -35,6 +38,8 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from csdf_serve_util import (
+    check_abandoned_request,
+    check_threads_reaped,
     fail,
     get_stats,
     log,
@@ -245,6 +250,11 @@ def run(csdf, work, stats_dir=None):
              % cp.stderr.decode())
     log("phase 5: csdf client rc=%d via router, shard narrated"
         % cp.returncode)
+
+    # --- Phase 6: clients that leave, and connection-thread reaping. -------
+    check_abandoned_request(router, router_sock, "csdf router",
+                            {"tenant": "smoke"})
+    check_threads_reaped(router, router_sock, "csdf router")
 
     # --- Final stats (CI artifacts), then clean shutdown. ------------------
     raw, resp = request_json(router_sock, {"type": "stats"})

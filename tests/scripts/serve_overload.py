@@ -12,6 +12,9 @@
    request admitted right behind them is answered promptly.
 4. `csdf client` retry also recovers from a daemon that comes up late
    (connect refused is retryable).
+5. A client that sends a request and leaves before the reply does not
+   kill the daemon, and finished connection threads are reaped: 200
+   sequential connections leave the daemon's mappings flat.
 
 Usage: serve_overload.py <csdf-binary>
 """
@@ -29,6 +32,8 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from csdf_serve_util import (
+    check_abandoned_request,
+    check_threads_reaped,
     fail,
     get_stats,
     log,
@@ -212,6 +217,12 @@ def run(csdf, sock, mpl):
              % (client.returncode, client.stderr))
     shutdown_daemon(late["proc"], sock, expect_rc=0)
     log("csdf client recovered from connect-refused")
+
+    # --- Clients that leave, and connection-thread reaping. ----------------
+    proc = start_daemon(csdf, sock)
+    check_abandoned_request(proc, sock, "csdf serve")
+    check_threads_reaped(proc, sock, "csdf serve")
+    shutdown_daemon(proc, sock, expect_rc=0)
 
 
 if __name__ == "__main__":
