@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One JSON "meta" object stamped on every bench's --json output, so the
-/// committed BENCH_*.json artifacts record the environment they were
-/// measured in (hardware threads, compiler, build flags). Without this
-/// the before/after tables in EXPERIMENTS.md can silently compare numbers
-/// from different machines or build configurations.
+/// The JSON "meta" object perfbench prints as its `meta` line, so every
+/// run records the environment it was measured in (hardware threads,
+/// compiler, build flags). Without it, two runs can silently compare
+/// numbers from different machines or build configurations.
 ///
 /// Usage: emit benchMetaJson() as the value of a top-level "meta" key.
 ///
@@ -25,9 +24,9 @@
 namespace csdf {
 namespace bench {
 
-/// Build flags the bench binaries were compiled with, injected by
-/// bench/CMakeLists.txt. Falls back to "unknown" when built outside the
-/// repo's CMake (e.g. a hand compile).
+/// Build flags perfbench was compiled with, injected by
+/// perfbench/CMakeLists.txt. Falls back to "unknown" when built outside
+/// that CMake (e.g. a hand compile).
 #ifndef CSDF_BENCH_BUILD_FLAGS
 #define CSDF_BENCH_BUILD_FLAGS "unknown"
 #endif

@@ -14,19 +14,17 @@
 //   * full closure scales ~n^3, incremental repair ~n^2;
 //   * the dense-array backend beats the std::map backend by a wide margin.
 //
+// Each run reports its closure counts per iteration as counters, read
+// from a private StatsRegistry; `--benchmark_format=json` is the
+// machine-readable output.
+//
 //===----------------------------------------------------------------------===//
 
 #include "numeric/ConstraintGraph.h"
 
-#include "BenchMeta.h"
-
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 using namespace csdf;
 
@@ -61,6 +59,18 @@ ConstraintGraph buildSparseGraph(DbmBackend Backend, int N,
   return G;
 }
 
+/// Publishes \p Stats' closure counts, per iteration, as \p State's
+/// counters.
+void reportClosures(benchmark::State &State, const StatsRegistry &Stats) {
+  auto PerIteration = [&](const char *Key) {
+    return benchmark::Counter(static_cast<double>(Stats.counter(Key)),
+                              benchmark::Counter::kAvgIterations);
+  };
+  State.counters["full_closures"] = PerIteration("cg.closure.full.calls");
+  State.counters["incr_closures"] = PerIteration("cg.closure.incr.calls");
+  State.counters["memo_hits"] = PerIteration("cg.closure.memo.hits");
+}
+
 void BM_FullClosure(benchmark::State &State) {
   StatsRegistry Stats;
   auto Backend = static_cast<DbmBackend>(State.range(0));
@@ -72,6 +82,7 @@ void BM_FullClosure(benchmark::State &State) {
     G.close();
     benchmark::DoNotOptimize(G.isFeasible());
   }
+  reportClosures(State, Stats);
   State.SetComplexityN(N);
 }
 
@@ -88,6 +99,7 @@ void BM_IncrementalRepair(benchmark::State &State) {
     G.addLE("v0", "v" + std::to_string(N - 1), C--);
     benchmark::DoNotOptimize(G.isFeasible());
   }
+  reportClosures(State, Stats);
   State.SetComplexityN(N);
 }
 
@@ -107,8 +119,7 @@ void BM_MemoizedReclose(benchmark::State &State) {
     G.close();
     benchmark::DoNotOptimize(G.isFeasible());
   }
-  State.counters["memo_hits"] =
-      static_cast<double>(Stats.counter("cg.closure.memo.hits"));
+  reportClosures(State, Stats);
   State.SetComplexityN(N);
 }
 
@@ -124,6 +135,23 @@ void BM_JoinGraphs(benchmark::State &State) {
     Copy.joinWith(B);
     benchmark::DoNotOptimize(Copy.numVars());
   }
+  reportClosures(State, Stats);
+}
+
+/// Cold close of a mostly-unconstrained graph: the closure kernel's
+/// sparse-row skip. BM_FullClosure at the same n is the baseline.
+void BM_SparseCold(benchmark::State &State) {
+  StatsRegistry Stats;
+  auto Backend = static_cast<DbmBackend>(State.range(0));
+  int N = static_cast<int>(State.range(1));
+  for (auto _ : State) {
+    State.PauseTiming();
+    ConstraintGraph G = buildSparseGraph(Backend, N, &Stats);
+    State.ResumeTiming();
+    G.close();
+    benchmark::DoNotOptimize(G.isFeasible());
+  }
+  reportClosures(State, Stats);
 }
 
 } // namespace
@@ -154,184 +182,17 @@ BENCHMARK(BM_JoinGraphs)
                    {16, 64}})
     ->Unit(benchmark::kMicrosecond);
 
-namespace {
+BENCHMARK(BM_SparseCold)
+    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
+                    static_cast<long>(DbmBackend::MapBased)},
+                   {8, 16, 32, 64}})
+    ->Unit(benchmark::kMicrosecond);
 
-const char *backendName(DbmBackend B) {
-  return B == DbmBackend::Dense ? "dense" : "map";
-}
+// Dense full closures at sizes spanning several kernel::ClosureTile tiles
+// per axis: the cache-blocking tuning record.
+BENCHMARK(BM_FullClosure)
+    ->Name("BM_BlockedSweep")
+    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense)}, {64, 128, 256}})
+    ->Unit(benchmark::kMicrosecond);
 
-/// One manually timed record for the machine-readable sweep.
-struct JsonRecord {
-  const char *Workload;
-  DbmBackend Backend;
-  int N;
-  std::int64_t WallNs;
-  std::int64_t FullCalls;
-  std::int64_t IncrCalls;
-  std::int64_t MemoHits;
-};
-
-std::int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Repeats full closure / incremental repair / copy+join workloads under a
-/// private StatsRegistry, timing total wall clock per workload.
-void sweepInto(std::vector<JsonRecord> &Records, DbmBackend Backend, int N,
-               int Repeats) {
-  StatsRegistry Stats;
-  {
-    Stats.clear();
-    std::int64_t Start = nowNs();
-    for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildGraph(Backend, N, &Stats);
-      G.close();
-      benchmark::DoNotOptimize(G.isFeasible());
-    }
-    Records.push_back({"full_closure", Backend, N, nowNs() - Start,
-                       Stats.counter("cg.closure.full.calls"),
-                       Stats.counter("cg.closure.incr.calls"), 0});
-  }
-  {
-    Stats.clear();
-    auto Syms = std::make_shared<SymbolTable>();
-    auto Memo = std::make_shared<ClosureMemo>();
-    std::int64_t Start = nowNs();
-    for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildGraph(Backend, N, &Stats, Syms, Memo);
-      G.close();
-      benchmark::DoNotOptimize(G.isFeasible());
-    }
-    Records.push_back({"memoized_reclose", Backend, N, nowNs() - Start,
-                       Stats.counter("cg.closure.full.calls"),
-                       Stats.counter("cg.closure.incr.calls"),
-                       Stats.counter("cg.closure.memo.hits")});
-  }
-  {
-    Stats.clear();
-    ConstraintGraph G = buildGraph(Backend, N, &Stats);
-    G.close();
-    std::int64_t C = -1000;
-    std::int64_t Start = nowNs();
-    for (int R = 0; R < Repeats; ++R) {
-      G.addLE("v0", "v" + std::to_string(N - 1), C--);
-      benchmark::DoNotOptimize(G.isFeasible());
-    }
-    Records.push_back({"incremental_repair", Backend, N, nowNs() - Start,
-                       Stats.counter("cg.closure.full.calls"),
-                       Stats.counter("cg.closure.incr.calls"), 0});
-  }
-  {
-    Stats.clear();
-    ConstraintGraph A = buildGraph(Backend, N, &Stats);
-    ConstraintGraph B = buildGraph(Backend, N, &Stats);
-    B.addLE("v1", "v0", 2);
-    std::int64_t Start = nowNs();
-    for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph Copy = A;
-      Copy.joinWith(B);
-      benchmark::DoNotOptimize(Copy.numVars());
-    }
-    Records.push_back({"copy_join", Backend, N, nowNs() - Start,
-                       Stats.counter("cg.closure.full.calls"),
-                       Stats.counter("cg.closure.incr.calls"), 0});
-  }
-  {
-    // Cold close of a mostly-unconstrained graph: the sparse-row-skip
-    // win. The dense full_closure record above is the baseline.
-    Stats.clear();
-    std::int64_t Start = nowNs();
-    for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildSparseGraph(Backend, N, &Stats);
-      G.close();
-      benchmark::DoNotOptimize(G.isFeasible());
-    }
-    Records.push_back({"sparse_cold", Backend, N, nowNs() - Start,
-                       Stats.counter("cg.closure.full.calls"),
-                       Stats.counter("cg.closure.incr.calls"), 0});
-  }
-}
-
-/// Dense-backend full closures at blocked-FW-relevant sizes (multiple
-/// tiles per axis), the cache-blocking tuning record.
-void blockedSweepInto(std::vector<JsonRecord> &Records, int N, int Repeats) {
-  StatsRegistry Stats;
-  std::int64_t Start = nowNs();
-  for (int R = 0; R < Repeats; ++R) {
-    ConstraintGraph G = buildGraph(DbmBackend::Dense, N, &Stats);
-    G.close();
-    benchmark::DoNotOptimize(G.isFeasible());
-  }
-  Records.push_back({"blocked_sweep", DbmBackend::Dense, N, nowNs() - Start,
-                     Stats.counter("cg.closure.full.calls"),
-                     Stats.counter("cg.closure.incr.calls"), 0});
-}
-
-/// Writes the sweep as a JSON array so CI can archive closure cost per
-/// commit.
-int runJsonSweep(const std::string &Path, const std::vector<int> &Sizes) {
-  std::vector<JsonRecord> Records;
-  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased})
-    for (int N : Sizes)
-      sweepInto(Records, Backend, N, /*Repeats=*/20);
-  for (int N : {64, 128, 256})
-    blockedSweepInto(Records, N, /*Repeats=*/20);
-
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  std::fprintf(Out, "{\n\"meta\": %s,\n\"records\": [\n",
-               bench::benchMetaJson().c_str());
-  for (size_t I = 0; I < Records.size(); ++I) {
-    const JsonRecord &R = Records[I];
-    std::fprintf(Out,
-                 "  {\"workload\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
-                 "\"wall_ns\": %lld, \"full_closures\": %lld, "
-                 "\"incremental_closures\": %lld, \"memo_hits\": %lld}%s\n",
-                 R.Workload, backendName(R.Backend), R.N,
-                 static_cast<long long>(R.WallNs),
-                 static_cast<long long>(R.FullCalls),
-                 static_cast<long long>(R.IncrCalls),
-                 static_cast<long long>(R.MemoHits),
-                 I + 1 < Records.size() ? "," : "");
-  }
-  std::fprintf(Out, "]\n}\n");
-  std::fclose(Out);
-  std::printf("wrote %zu records to %s\n", Records.size(), Path.c_str());
-  return 0;
-}
-
-} // namespace
-
-// Custom main instead of BENCHMARK_MAIN(): `--json <path> [--n N]...`
-// switches to a deterministic manual sweep with machine-readable output;
-// without it the google-benchmark suite runs unchanged.
-int main(int argc, char **argv) {
-  std::string JsonPath;
-  std::vector<int> Sizes;
-  std::vector<char *> Rest = {argv[0]};
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (std::strcmp(argv[I], "--n") == 0 && I + 1 < argc)
-      Sizes.push_back(std::atoi(argv[++I]));
-    else
-      Rest.push_back(argv[I]);
-  }
-  if (!JsonPath.empty()) {
-    if (Sizes.empty())
-      Sizes = {8, 16, 32, 64};
-    return runJsonSweep(JsonPath, Sizes);
-  }
-  int RestArgc = static_cast<int>(Rest.size());
-  benchmark::Initialize(&RestArgc, Rest.data());
-  if (benchmark::ReportUnrecognizedArguments(RestArgc, Rest.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

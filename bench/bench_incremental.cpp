@@ -20,19 +20,18 @@
 // at the first divergent step).
 //
 // Reports cold vs incremental microseconds per revision and the adoption
-// fraction for N in {8, 16, 24, 32}. `--json PATH` writes the curve;
-// BENCH_incremental.json in the repo root is this file's committed output
-// from the development container. Exit 1 when the largest size fails to
-// clear a 5x speedup — the number the docs claim.
+// fraction for N in {8, 16, 24, 32}, and checks both claims EXPERIMENTS.md
+// E14 makes: every incremental revision's verdict JSON (wall_ms aside)
+// equals the cold run's for the same source, and the largest size clears
+// a 5x speedup. Exit 1 when either fails.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchMeta.h"
 #include "api/Csdf.h"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -78,11 +77,29 @@ std::string phasedProgram(unsigned Phases, unsigned Tweak) {
   return Src;
 }
 
+api::AnalyzeRequest revision(unsigned Phases, unsigned Tweak) {
+  api::AnalyzeRequest Req;
+  Req.Path = "phased.mpl";
+  Req.Source = phasedProgram(Phases, Tweak);
+  Req.Options.FixedNp = 12;
+  return Req;
+}
+
+/// \p R's `csdf analyze --format json` line with the wall_ms measurement
+/// zeroed, so a cold and an incremental answer compare byte for byte.
+std::string verdictOf(const api::AnalyzeRequest &Req,
+                      const api::AnalyzeResponse &R) {
+  static const std::regex WallMs("\"wall_ms\": \\d+");
+  return std::regex_replace(api::verdictJson(Req.Path, R), WallMs,
+                            "\"wall_ms\": 0");
+}
+
 struct Point {
   unsigned Phases = 0;
   double ColdUs = 0;
   double IncUs = 0;
   double AdoptedFrac = 0;
+  unsigned VerdictDiffs = 0;
   double speedup() const { return IncUs > 0 ? ColdUs / IncUs : 0; }
 };
 
@@ -91,59 +108,42 @@ Point measure(unsigned Phases, unsigned Revisions) {
   Pt.Phases = Phases;
 
   // Cold: a fresh one-shot Analyzer per revision (what `csdf analyze`
-  // pays, minus process startup).
-  {
+  // pays, minus process startup). The verdicts are the reference the
+  // incremental leg must reproduce.
+  std::vector<std::string> ColdVerdicts;
+  for (unsigned R = 0; R < Revisions; ++R) {
+    api::AnalyzeRequest Req = revision(Phases, R);
     double Start = nowUs();
-    for (unsigned R = 0; R < Revisions; ++R) {
-      api::Analyzer An;
-      api::AnalyzeRequest Req;
-      Req.Path = "phased.mpl";
-      Req.Source = phasedProgram(Phases, R);
-      Req.Options.FixedNp = 12;
-      An.analyze(Req);
-    }
-    Pt.ColdUs = (nowUs() - Start) / Revisions;
+    api::AnalyzeResponse Resp = api::Analyzer().analyze(Req);
+    Pt.ColdUs += nowUs() - Start;
+    ColdVerdicts.push_back(verdictOf(Req, Resp));
   }
+  Pt.ColdUs /= Revisions;
 
   // Incremental: one editor session. The first revision is the untimed
   // warm-up that records the trace; every timed revision is a fresh edit
   // (never an exact cache repeat) re-analyzed with the prior seed.
-  {
-    api::Analyzer An(api::AnalyzerConfig::warm());
-    api::AnalyzeRequest Req;
-    Req.Path = "phased.mpl";
-    Req.Options.FixedNp = 12;
-    Req.Source = phasedProgram(Phases, 9999);
-    An.analyzeIncremental(Req);
-
-    std::uint64_t Adopted = 0, Total = 0;
+  api::Analyzer An(api::AnalyzerConfig::warm());
+  An.analyzeIncremental(revision(Phases, 9999));
+  std::uint64_t Adopted = 0, Total = 0;
+  for (unsigned R = 0; R < Revisions; ++R) {
+    api::AnalyzeRequest Req = revision(Phases, R);
     double Start = nowUs();
-    for (unsigned R = 0; R < Revisions; ++R) {
-      Req.Source = phasedProgram(Phases, R);
-      api::AnalyzeResponse Resp = An.analyzeIncremental(Req);
-      Adopted += Resp.Replay.AdoptedSteps;
-      Total += Resp.Replay.TotalSteps;
-    }
-    Pt.IncUs = (nowUs() - Start) / Revisions;
-    Pt.AdoptedFrac = Total ? static_cast<double>(Adopted) / Total : 0;
+    api::AnalyzeResponse Resp = An.analyzeIncremental(Req);
+    Pt.IncUs += nowUs() - Start;
+    Adopted += Resp.Replay.AdoptedSteps;
+    Total += Resp.Replay.TotalSteps;
+    if (verdictOf(Req, Resp) != ColdVerdicts[R])
+      ++Pt.VerdictDiffs;
   }
+  Pt.IncUs /= Revisions;
+  Pt.AdoptedFrac = Total ? static_cast<double>(Adopted) / Total : 0;
   return Pt;
 }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc) {
-      JsonPath = Argv[++I];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", Argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   const unsigned Sizes[] = {8, 16, 24, 32};
   const unsigned Revisions = 8;
 
@@ -151,44 +151,24 @@ int main(int Argc, char **Argv) {
   std::printf("N scatter phases at np=12; each revision edits a literal in "
               "the report procedure (%u revisions)\n\n",
               Revisions);
-  std::printf("%8s %14s %14s %10s %10s\n", "phases", "cold us/rev",
-              "incr us/rev", "speedup", "adopted");
+  std::printf("%8s %14s %14s %10s %10s %9s\n", "phases", "cold us/rev",
+              "incr us/rev", "speedup", "adopted", "verdicts");
 
-  std::vector<Point> Curve;
+  unsigned VerdictDiffs = 0;
+  double LargestSpeedup = 0;
   for (unsigned N : Sizes) {
     Point Pt = measure(N, Revisions);
-    std::printf("%8u %14.1f %14.1f %9.1fx %9.1f%%\n", Pt.Phases, Pt.ColdUs,
-                Pt.IncUs, Pt.speedup(), Pt.AdoptedFrac * 100);
-    Curve.push_back(Pt);
+    std::printf("%8u %14.1f %14.1f %9.1fx %9.1f%% %9s\n", Pt.Phases,
+                Pt.ColdUs, Pt.IncUs, Pt.speedup(), Pt.AdoptedFrac * 100,
+                Pt.VerdictDiffs ? "DIFFER" : "same");
+    VerdictDiffs += Pt.VerdictDiffs;
+    LargestSpeedup = Pt.speedup();
   }
 
-  double BestSpeedup = Curve.back().speedup();
-  bool Cleared = BestSpeedup >= 5.0;
-  std::printf("\nlargest size speedup: %.1fx (%s the 5x bar)\n", BestSpeedup,
-              Cleared ? "clears" : "MISSES");
-
-  if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    Out << "{\n  \"bench\": \"incremental\",\n  \"meta\": "
-        << bench::benchMetaJson() << ",\n  \"revisions\": " << Revisions
-        << ",\n  \"curve\": [\n";
-    char Buf[256];
-    for (std::size_t I = 0; I < Curve.size(); ++I) {
-      const Point &Pt = Curve[I];
-      std::snprintf(Buf, sizeof(Buf),
-                    "    {\"phases\": %u, \"cold_us_per_rev\": %.1f, "
-                    "\"incremental_us_per_rev\": %.1f, \"speedup\": %.1f, "
-                    "\"adopted_fraction\": %.3f}%s\n",
-                    Pt.Phases, Pt.ColdUs, Pt.IncUs, Pt.speedup(),
-                    Pt.AdoptedFrac, I + 1 < Curve.size() ? "," : "");
-      Out << Buf;
-    }
-    std::snprintf(Buf, sizeof(Buf),
-                  "  ],\n  \"largest_speedup\": %.1f,\n"
-                  "  \"clears_5x\": %s\n}\n",
-                  BestSpeedup, Cleared ? "true" : "false");
-    Out << Buf;
-    std::printf("wrote %s\n", JsonPath.c_str());
-  }
-  return Cleared ? 0 : 1;
+  bool Cleared = LargestSpeedup >= 5.0;
+  std::printf("\nlargest size speedup: %.1fx (%s the 5x bar)\n",
+              LargestSpeedup, Cleared ? "clears" : "MISSES");
+  std::printf("incremental verdicts differing from cold: %u of %zu\n",
+              VerdictDiffs, std::size(Sizes) * Revisions);
+  return Cleared && VerdictDiffs == 0 ? 0 : 1;
 }

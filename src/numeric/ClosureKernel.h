@@ -51,7 +51,7 @@ namespace kernel {
 
 /// Tile edge for the blocked Floyd–Warshall phases. 32 rows of 32
 /// int64 bounds = 8 KiB per tile operand, three operands well inside L1;
-/// the bench_closure `blocked_sweep` workload is the tuning record.
+/// bench_closure's `BM_BlockedSweep` is the tuning record.
 inline constexpr unsigned ClosureTile = 32;
 
 /// Transitively closes \p M in place. Returns false when the constraint

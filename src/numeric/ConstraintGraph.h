@@ -125,6 +125,11 @@ public:
                            StatsRegistry *Stats = &StatsRegistry::global(),
                            SymbolTablePtr Syms = nullptr,
                            ClosureMemoPtr Memo = nullptr);
+  /// A dense-backed graph: the storage every analysis runs on.
+  ConstraintGraph(StatsRegistry *Stats, SymbolTablePtr Syms,
+                  ClosureMemoPtr Memo)
+      : ConstraintGraph(DbmBackend::Dense, Stats, std::move(Syms),
+                        std::move(Memo)) {}
 
   ConstraintGraph(const ConstraintGraph &O);
   ConstraintGraph &operator=(const ConstraintGraph &O);

@@ -20,7 +20,6 @@
 #ifndef CSDF_PCFG_ANALYSISOPTIONS_H
 #define CSDF_PCFG_ANALYSISOPTIONS_H
 
-#include "numeric/DbmStorage.h"
 #include "support/Budget.h"
 
 #include <cstdint>
@@ -87,9 +86,6 @@ struct AnalysisOptions {
   /// Abort to Top after this many explored states (safety net).
   unsigned MaxStates = 20000;
 
-  /// Constraint-graph storage backend (the Section IX ablation knob).
-  DbmBackend Backend = DbmBackend::Dense;
-
   /// Resource governor for this run (deadline, memory ceiling, prover
   /// steps). Non-owning: the budget must outlive the analysis *and* every
   /// AnalysisResult snapshot holding DBM state accounted against it. Null
@@ -153,7 +149,6 @@ struct AnalysisOptions {
     F += ";sets=" + std::to_string(MaxProcSets);
     F += ";widen=" + std::to_string(WidenDelay);
     F += ";states=" + std::to_string(MaxStates);
-    F += ";backend=" + std::to_string(static_cast<int>(Backend));
     F += ";agg=" + std::to_string(AggregateSendLoops);
     F += ";nondet=" + std::to_string(CheckMatchNondet);
     F += ";params={";

@@ -402,12 +402,12 @@ void Engine::drain() {
 /// Seeds the initial state and drains the worklist (the Figure 4 loop).
 /// Throws BudgetExceeded/EngineError; run() owns recovery.
 void Engine::explore() {
-  PcfgState Init(Opts.Backend);
+  PcfgState Init;
   // One intern table and one closure memo serve the whole run: every state
   // is a (copy-on-write) descendant of Init, so all constraint graphs the
   // engine ever touches share them. Batch threads mode pre-shares both
   // across runs to amortize closure work (see AnalysisOptions).
-  Init.Cg = ConstraintGraph(Opts.Backend, Stats,
+  Init.Cg = ConstraintGraph(Stats,
                             Opts.SharedSymbols ? Opts.SharedSymbols
                                                : std::make_shared<SymbolTable>(),
                             Opts.SharedMemo ? Opts.SharedMemo

@@ -152,9 +152,6 @@ struct MatchRecord {
 /// The dataflow state at one pCFG node.
 class PcfgState {
 public:
-  explicit PcfgState(DbmBackend Backend = DbmBackend::Dense)
-      : Cg(Backend) {}
-
   std::vector<ProcSetEntry> Sets;
   ConstraintGraph Cg;
   std::vector<PendingSend> InFlight;

@@ -27,7 +27,7 @@ namespace csdf {
 /// Process-wide registry of named counters and accumulated durations.
 ///
 /// Thread-safe: updates and reads take an internal mutex, so concurrent
-/// analyses (bench_parallel) may share the global registry. Hot analysis
+/// analyses (`csdf batch --mode threads`) may share the global registry. Hot analysis
 /// loops avoid both the lock and the string lookup by caching the
 /// counter's cell via counterCell() once and bumping the atomic directly;
 /// cells have stable addresses for the registry's lifetime (clear() zeroes

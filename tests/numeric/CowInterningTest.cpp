@@ -583,6 +583,27 @@ TEST_P(MemoTest, InfeasibleResultIsMemoizedCorrectly) {
   EXPECT_FALSE(B.isFeasible());
 }
 
+TEST(DenseGraphTest, StatsSymbolsMemoConstructorIsDense) {
+  // The constructor the engine seeds every analysis with: dense storage,
+  // wired to the caller's stats, intern table and closure memo.
+  StatsRegistry Stats;
+  SymbolTablePtr Syms = std::make_shared<SymbolTable>();
+  ClosureMemoPtr Memo = std::make_shared<ClosureMemo>();
+  ConstraintGraph G(&Stats, Syms, Memo);
+  EXPECT_EQ(G.backend(), DbmBackend::Dense);
+  EXPECT_EQ(G.symbolsPtr(), Syms);
+  G.addLE("a", "b", 1);
+  G.addLE("b", "c", 2);
+  G.addLE("c", "d", 3);
+  G.close(); // Cold matrix: the full-closure path the memo serves.
+  EXPECT_EQ(Stats.counter("cg.closure.memo.misses"), 1);
+  ASSERT_EQ(Memo->size(), 1u);
+  Memo->forEach([](std::uint64_t, DbmBackend Backend,
+                   const std::vector<std::int64_t> &, const DbmShared &) {
+    EXPECT_EQ(Backend, DbmBackend::Dense);
+  });
+}
+
 //===----------------------------------------------------------------------===//
 // Property-style checks: mutations preserve the closed form
 //===----------------------------------------------------------------------===//

@@ -304,17 +304,6 @@ TEST(EngineTest, EmptyProgramConverges) {
   EXPECT_TRUE(R.Converged);
 }
 
-TEST(EngineTest, MapBackendGivesSameMatches) {
-  Built B = buildFrom(corpus::exchangeWithRoot());
-  AnalysisOptions Dense = AnalysisOptions::simpleSymbolic();
-  AnalysisOptions Map = AnalysisOptions::simpleSymbolic();
-  Map.Backend = DbmBackend::MapBased;
-  AnalysisResult RD = analyzeProgram(B.Graph, Dense);
-  AnalysisResult RM = analyzeProgram(B.Graph, Map);
-  EXPECT_EQ(RD.Converged, RM.Converged);
-  EXPECT_EQ(RD.Matches, RM.Matches);
-}
-
 TEST(EngineTest, FixedNpMatchesSymbolicOnBroadcast) {
   Built B = buildFrom(corpus::fanOutBroadcast());
   AnalysisOptions Opts = AnalysisOptions::simpleSymbolic();
