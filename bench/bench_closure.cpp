@@ -24,7 +24,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 using namespace csdf;
 
@@ -71,10 +75,9 @@ void reportClosures(benchmark::State &State, const StatsRegistry &Stats) {
   State.counters["memo_hits"] = PerIteration("cg.closure.memo.hits");
 }
 
-void BM_FullClosure(benchmark::State &State) {
+void BM_FullClosure(benchmark::State &State, DbmBackend Backend) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   for (auto _ : State) {
     State.PauseTiming();
     ConstraintGraph G = buildGraph(Backend, N, &Stats);
@@ -86,10 +89,9 @@ void BM_FullClosure(benchmark::State &State) {
   State.SetComplexityN(N);
 }
 
-void BM_IncrementalRepair(benchmark::State &State) {
+void BM_IncrementalRepair(benchmark::State &State, DbmBackend Backend) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   ConstraintGraph G = buildGraph(Backend, N, &Stats);
   G.close();
   std::int64_t C = -1000;
@@ -103,10 +105,9 @@ void BM_IncrementalRepair(benchmark::State &State) {
   State.SetComplexityN(N);
 }
 
-void BM_MemoizedReclose(benchmark::State &State) {
+void BM_MemoizedReclose(benchmark::State &State, DbmBackend Backend) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   auto Syms = std::make_shared<SymbolTable>();
   auto Memo = std::make_shared<ClosureMemo>();
   for (auto _ : State) {
@@ -123,10 +124,9 @@ void BM_MemoizedReclose(benchmark::State &State) {
   State.SetComplexityN(N);
 }
 
-void BM_JoinGraphs(benchmark::State &State) {
+void BM_JoinGraphs(benchmark::State &State, DbmBackend Backend) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   ConstraintGraph A = buildGraph(Backend, N, &Stats);
   ConstraintGraph B = buildGraph(Backend, N, &Stats);
   B.addLE("v1", "v0", 2);
@@ -140,10 +140,9 @@ void BM_JoinGraphs(benchmark::State &State) {
 
 /// Cold close of a mostly-unconstrained graph: the closure kernel's
 /// sparse-row skip. BM_FullClosure at the same n is the baseline.
-void BM_SparseCold(benchmark::State &State) {
+void BM_SparseCold(benchmark::State &State, DbmBackend Backend) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   for (auto _ : State) {
     State.PauseTiming();
     ConstraintGraph G = buildSparseGraph(Backend, N, &Stats);
@@ -154,45 +153,46 @@ void BM_SparseCold(benchmark::State &State) {
   reportClosures(State, Stats);
 }
 
+/// Registers \p Fn at sizes \p Ns as two families, `<Name>/dense/<n>` and
+/// `<Name>/map/<n>`, so a ->Complexity() fit covers one backend.
+void registerPerBackend(const char *Name,
+                        void (*Fn)(benchmark::State &, DbmBackend),
+                        std::initializer_list<std::int64_t> Ns,
+                        benchmark::BigO Fit = benchmark::oNone) {
+  for (auto [Suffix, Backend] : {std::pair("dense", DbmBackend::Dense),
+                                 std::pair("map", DbmBackend::MapBased)}) {
+    char Family[64];
+    std::snprintf(Family, sizeof(Family), "%s/%s", Name, Suffix);
+    benchmark::internal::Benchmark *B =
+        benchmark::RegisterBenchmark(Family, Fn, Backend);
+    for (std::int64_t N : Ns)
+      B->Arg(N);
+    if (Fit != benchmark::oNone)
+      B->Complexity(Fit);
+    B->Unit(benchmark::kMicrosecond);
+  }
+}
+
+const bool Registered = [] {
+  registerPerBackend("BM_FullClosure", BM_FullClosure, {8, 16, 32, 64, 128},
+                     benchmark::oNCubed);
+  registerPerBackend("BM_IncrementalRepair", BM_IncrementalRepair,
+                     {8, 16, 32, 64, 128}, benchmark::oNSquared);
+  registerPerBackend("BM_MemoizedReclose", BM_MemoizedReclose,
+                     {8, 16, 32, 64, 128});
+  registerPerBackend("BM_JoinGraphs", BM_JoinGraphs, {16, 64});
+  registerPerBackend("BM_SparseCold", BM_SparseCold, {8, 16, 32, 64});
+  // Dense full closures at sizes spanning several kernel::ClosureTile
+  // tiles per axis: the cache-blocking tuning record.
+  benchmark::RegisterBenchmark("BM_BlockedSweep", BM_FullClosure,
+                               DbmBackend::Dense)
+      ->Arg(64)
+      ->Arg(128)
+      ->Arg(256)
+      ->Unit(benchmark::kMicrosecond);
+  return true;
+}();
+
 } // namespace
-
-BENCHMARK(BM_FullClosure)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
-    ->Complexity(benchmark::oNCubed)
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_IncrementalRepair)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
-    ->Complexity(benchmark::oNSquared)
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_MemoizedReclose)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_JoinGraphs)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {16, 64}})
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_SparseCold)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64}})
-    ->Unit(benchmark::kMicrosecond);
-
-// Dense full closures at sizes spanning several kernel::ClosureTile tiles
-// per axis: the cache-blocking tuning record.
-BENCHMARK(BM_FullClosure)
-    ->Name("BM_BlockedSweep")
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense)}, {64, 128, 256}})
-    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

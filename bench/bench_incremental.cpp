@@ -21,13 +21,17 @@
 //
 // Reports cold vs incremental microseconds per revision and the adoption
 // fraction for N in {8, 16, 24, 32}, and checks both claims EXPERIMENTS.md
-// E14 makes: every incremental revision's verdict JSON (wall_ms aside)
-// equals the cold run's for the same source, and the largest size clears
-// a 5x speedup. Exit 1 when either fails.
+// E14 makes: every incremental revision's answer equals the cold run's for
+// the same source, and the largest size clears a 5x speedup. An answer is
+// the verdict JSON (wall_ms aside), the match set and the lint
+// diagnostics. One more, untimed row repeats the check at symbolic np,
+// where the replayed prefix holds widened loop variants. Exit 1 when
+// either claim fails.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/Csdf.h"
+#include "diag/DiagRenderer.h"
 
 #include <chrono>
 #include <cstdio>
@@ -77,21 +81,43 @@ std::string phasedProgram(unsigned Phases, unsigned Tweak) {
   return Src;
 }
 
-api::AnalyzeRequest revision(unsigned Phases, unsigned Tweak) {
+/// Revision \p Tweak at \p FixedNp processes (0: symbolic np).
+api::AnalyzeRequest revision(unsigned Phases, unsigned Tweak,
+                             std::int64_t FixedNp) {
   api::AnalyzeRequest Req;
   Req.Path = "phased.mpl";
   Req.Source = phasedProgram(Phases, Tweak);
-  Req.Options.FixedNp = 12;
+  Req.Options.FixedNp = FixedNp;
   return Req;
 }
 
+api::LintRequest lintOf(const api::AnalyzeRequest &Req) {
+  api::LintRequest Lint;
+  Lint.Path = Req.Path;
+  Lint.Source = Req.Source;
+  Lint.Options = Req.Options;
+  return Lint;
+}
+
 /// \p R's `csdf analyze --format json` line with the wall_ms measurement
-/// zeroed, so a cold and an incremental answer compare byte for byte.
-std::string verdictOf(const api::AnalyzeRequest &Req,
-                      const api::AnalyzeResponse &R) {
+/// zeroed, then its match set, so a cold and an incremental answer compare
+/// byte for byte.
+std::string answerOf(const api::AnalyzeRequest &Req,
+                     const api::AnalyzeResponse &R) {
   static const std::regex WallMs("\"wall_ms\": \\d+");
-  return std::regex_replace(api::verdictJson(Req.Path, R), WallMs,
-                            "\"wall_ms\": 0");
+  std::string Answer = std::regex_replace(api::verdictJson(Req.Path, R),
+                                          WallMs, "\"wall_ms\": 0");
+  for (const MatchRecord &M : R.Session.Report.Analysis.Matches)
+    Answer += "\n" + std::to_string(M.SendNode) + "->" +
+              std::to_string(M.RecvNode) + " " + M.SenderRange + " " +
+              M.ReceiverRange;
+  return Answer;
+}
+
+std::string lintAnswerOf(const api::LintRequest &Req,
+                         const api::LintResponse &R) {
+  return std::to_string(R.ExitCode) + "\n" +
+         renderDiagsJson(R.Diagnostics, Req.Path);
 }
 
 struct Point {
@@ -99,41 +125,49 @@ struct Point {
   double ColdUs = 0;
   double IncUs = 0;
   double AdoptedFrac = 0;
+  /// Revisions whose incremental answer differs from the cold one.
   unsigned VerdictDiffs = 0;
   double speedup() const { return IncUs > 0 ? ColdUs / IncUs : 0; }
 };
 
-Point measure(unsigned Phases, unsigned Revisions) {
+Point measure(unsigned Phases, unsigned Revisions, std::int64_t FixedNp) {
   Point Pt;
   Pt.Phases = Phases;
 
   // Cold: a fresh one-shot Analyzer per revision (what `csdf analyze`
-  // pays, minus process startup). The verdicts are the reference the
-  // incremental leg must reproduce.
-  std::vector<std::string> ColdVerdicts;
+  // pays, minus process startup). The answers are the reference the
+  // incremental leg must reproduce; lint runs untimed.
+  std::vector<std::string> ColdAnswers, ColdLints;
   for (unsigned R = 0; R < Revisions; ++R) {
-    api::AnalyzeRequest Req = revision(Phases, R);
+    api::AnalyzeRequest Req = revision(Phases, R, FixedNp);
     double Start = nowUs();
     api::AnalyzeResponse Resp = api::Analyzer().analyze(Req);
     Pt.ColdUs += nowUs() - Start;
-    ColdVerdicts.push_back(verdictOf(Req, Resp));
+    ColdAnswers.push_back(answerOf(Req, Resp));
+    api::LintRequest Lint = lintOf(Req);
+    ColdLints.push_back(lintAnswerOf(Lint, api::Analyzer().lint(Lint)));
   }
   Pt.ColdUs /= Revisions;
 
   // Incremental: one editor session. The first revision is the untimed
   // warm-up that records the trace; every timed revision is a fresh edit
-  // (never an exact cache repeat) re-analyzed with the prior seed.
+  // (never an exact cache repeat) re-analyzed with the prior seed. Lint
+  // takes its own session, so it leaves the timed one alone.
   api::Analyzer An(api::AnalyzerConfig::warm());
-  An.analyzeIncremental(revision(Phases, 9999));
+  api::Analyzer LintAn(api::AnalyzerConfig::warm());
+  An.analyzeIncremental(revision(Phases, 9999, FixedNp));
+  LintAn.lintIncremental(lintOf(revision(Phases, 9999, FixedNp)));
   std::uint64_t Adopted = 0, Total = 0;
   for (unsigned R = 0; R < Revisions; ++R) {
-    api::AnalyzeRequest Req = revision(Phases, R);
+    api::AnalyzeRequest Req = revision(Phases, R, FixedNp);
     double Start = nowUs();
     api::AnalyzeResponse Resp = An.analyzeIncremental(Req);
     Pt.IncUs += nowUs() - Start;
     Adopted += Resp.Replay.AdoptedSteps;
     Total += Resp.Replay.TotalSteps;
-    if (verdictOf(Req, Resp) != ColdVerdicts[R])
+    api::LintRequest Lint = lintOf(Req);
+    if (answerOf(Req, Resp) != ColdAnswers[R] ||
+        lintAnswerOf(Lint, LintAn.lintIncremental(Lint)) != ColdLints[R])
       ++Pt.VerdictDiffs;
   }
   Pt.IncUs /= Revisions;
@@ -157,18 +191,24 @@ int main() {
   unsigned VerdictDiffs = 0;
   double LargestSpeedup = 0;
   for (unsigned N : Sizes) {
-    Point Pt = measure(N, Revisions);
+    Point Pt = measure(N, Revisions, 12);
     std::printf("%8u %14.1f %14.1f %9.1fx %9.1f%% %9s\n", Pt.Phases,
                 Pt.ColdUs, Pt.IncUs, Pt.speedup(), Pt.AdoptedFrac * 100,
                 Pt.VerdictDiffs ? "DIFFER" : "same");
     VerdictDiffs += Pt.VerdictDiffs;
     LargestSpeedup = Pt.speedup();
   }
+  Point Widened = measure(Sizes[0], Revisions, 0);
+  std::printf("%8u %14.1f %14.1f %9.1fx %9.1f%% %9s  (symbolic np)\n",
+              Widened.Phases, Widened.ColdUs, Widened.IncUs,
+              Widened.speedup(), Widened.AdoptedFrac * 100,
+              Widened.VerdictDiffs ? "DIFFER" : "same");
+  VerdictDiffs += Widened.VerdictDiffs;
 
   bool Cleared = LargestSpeedup >= 5.0;
   std::printf("\nlargest size speedup: %.1fx (%s the 5x bar)\n",
               LargestSpeedup, Cleared ? "clears" : "MISSES");
-  std::printf("incremental verdicts differing from cold: %u of %zu\n",
-              VerdictDiffs, std::size(Sizes) * Revisions);
+  std::printf("incremental answers differing from cold: %u of %zu\n",
+              VerdictDiffs, (std::size(Sizes) + 1) * Revisions);
   return Cleared && VerdictDiffs == 0 ? 0 : 1;
 }

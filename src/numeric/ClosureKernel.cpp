@@ -68,20 +68,6 @@ bool kernel::closeAfterEdgeRef(DbmStorage &M, unsigned I, unsigned J) {
   return true;
 }
 
-unsigned kernel::firstRowTightenedThroughRef(const DbmStorage &M,
-                                             unsigned I) {
-  unsigned N = M.size();
-  for (unsigned A = 0; A < N; ++A) {
-    std::int64_t AI = M.get(A, I);
-    if (A == I || AI >= DbmInfinity)
-      continue;
-    for (unsigned J = 0; J < N; ++J)
-      if (dbmAdd(AI, M.get(I, J)) < M.get(A, J))
-        return A;
-  }
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Flat kernels
 //===----------------------------------------------------------------------===//
@@ -111,23 +97,6 @@ inline void minPlusRow(std::int64_t *__restrict RowI,
     T = KJ >= DbmInfinity ? DbmInfinity : T;
     RowI[J] = RowI[J] < T ? RowI[J] : T;
   }
-}
-
-/// True when minPlusRow(RowI, RowK, BIK, 0, N) would lower some entry of
-/// RowI. The same lane-wise arithmetic, reduced into a flag instead of
-/// stored, so the loop vectorizes and never writes.
-inline bool minPlusRowTightens(const std::int64_t *__restrict RowI,
-                               const std::int64_t *__restrict RowK,
-                               std::int64_t BIK, unsigned N) {
-  unsigned Tightens = 0;
-  for (unsigned J = 0; J < N; ++J) {
-    std::int64_t KJ = RowK[J];
-    std::int64_t T = BIK + KJ;
-    T = T < DbmNegFloor ? DbmNegFloor : T;
-    T = KJ >= DbmInfinity ? DbmInfinity : T;
-    Tightens |= T < RowI[J];
-  }
-  return Tightens != 0;
 }
 
 /// One Floyd–Warshall panel: for K in [KLo, KHi), relax rows [ILo, IHi)
@@ -236,23 +205,6 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
   return true;
 }
 
-unsigned kernel::firstRowTightenedThroughDense(const DenseDbmStorage &D,
-                                               unsigned I) {
-  const unsigned N = D.size();
-  const std::size_t Stride = D.rowStride();
-  const std::uint8_t *Occ = D.rowOccupancy();
-  const std::int64_t *RowI = D.rows() + static_cast<std::size_t>(I) * Stride;
-  for (unsigned A = 0; A < N; ++A) {
-    if (A == I || !Occ[A])
-      continue;
-    const std::int64_t *RowA = D.rows() + static_cast<std::size_t>(A) * Stride;
-    std::int64_t AI = RowA[I];
-    if (AI < DbmInfinity && minPlusRowTightens(RowA, RowI, AI, N))
-      return A;
-  }
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Join
 //===----------------------------------------------------------------------===//
@@ -354,12 +306,6 @@ bool kernel::closeAfterEdge(DbmStorage &M, unsigned I, unsigned J) {
   if (DenseDbmStorage *D = M.asDense())
     return closeAfterEdgeDense(*D, I, J);
   return closeAfterEdgeRef(M, I, J);
-}
-
-unsigned kernel::firstRowTightenedThrough(const DbmStorage &M, unsigned I) {
-  if (const DenseDbmStorage *D = M.asDense())
-    return firstRowTightenedThroughDense(*D, I);
-  return firstRowTightenedThroughRef(M, I);
 }
 
 void kernel::join(const DbmStorage &A, const SlotMap &MapA,

@@ -76,29 +76,6 @@ bool fullCloseDense(DenseDbmStorage &M);
 bool closeAfterEdgeDense(DenseDbmStorage &M, unsigned I, unsigned J);
 
 //===----------------------------------------------------------------------===//
-// Single-pivot relaxation
-//===----------------------------------------------------------------------===//
-
-/// Whether one Floyd–Warshall step through pivot \p I,
-///   M[A][J] = min(M[A][J], M[A][I] + M[I][J])   for every row A != I,
-/// would change the matrix. That step is what copying variable I into a
-/// fresh slot and repairing closure does to the rest of the matrix
-/// (ConstraintGraph::moveNamespace); with M[I][I] == 0 it is
-/// closeAfterEdge(M, I, I). On a truly closed matrix it changes nothing;
-/// on a widened one it can tighten. The scan only reads: it returns the
-/// first row the step would tighten, or M.size() when it would change
-/// nothing, so a caller holding a shared matrix can skip the
-/// copy-on-write detach.
-unsigned firstRowTightenedThrough(const DbmStorage &M, unsigned I);
-
-/// Reference version over virtual get: the path for non-dense backends
-/// and the oracle of the dense one.
-unsigned firstRowTightenedThroughRef(const DbmStorage &M, unsigned I);
-
-/// Flat version on raw rows, skipping unoccupied rows.
-unsigned firstRowTightenedThroughDense(const DenseDbmStorage &M, unsigned I);
-
-//===----------------------------------------------------------------------===//
 // Per-cell loops
 //===----------------------------------------------------------------------===//
 

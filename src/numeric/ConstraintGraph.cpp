@@ -254,20 +254,43 @@ void ConstraintGraph::renameNamespaces(const NamespaceMap &Map) {
 
 void ConstraintGraph::copyNamespace(std::string_view From,
                                     const std::string &To, bool SkipAnchors) {
-  VarId ToId = InvalidVarId;
-  // Variables appended below lie in To, so the original ones suffice.
+  std::vector<unsigned> Sources;
   const unsigned N = static_cast<unsigned>(Vars.size());
   for (unsigned I = 1; I < N; ++I) {
     std::string_view Name = Syms->name(Vars[I]);
-    if (!inNamespace(Name, From) ||
-        (SkipAnchors && isAnchorName(Name.substr(From.size() + 1))))
-      continue;
-    if (ToId == InvalidVarId)
-      ToId = Syms->intern(To);
-    unsigned Copy = ensureSlot(Syms->renamed(Vars[I], ToId));
-    addEdge(Copy, I, 0);
-    addEdge(I, Copy, 0);
+    if (inNamespace(Name, From) &&
+        !(SkipAnchors && isAnchorName(Name.substr(From.size() + 1))))
+      Sources.push_back(I);
   }
+  if (Sources.empty())
+    return;
+  // A pending edge would need one repair per copy; settle it first.
+  if (Cow.ro().PendingEdge)
+    close();
+  VarId ToId = Syms->intern(To);
+  for (unsigned I : Sources)
+    Vars.push_back(Syms->renamed(Vars[I], ToId));
+  assertDistinct(Vars);
+  const unsigned NewN = static_cast<unsigned>(Vars.size());
+  if (Cow.detachAs(
+          [&](const DbmStorage &M) { return M.grownClone(NewN); }))
+    bump(Cells.CowDetaches);
+  else
+    Cow.rwShared().M->resize(NewN);
+  DbmShared &B = Cow.rwShared();
+  // The copy of I takes column I, then row I (which by then holds the
+  // copies' columns too): copy and original are equal, and every bound
+  // through the copy is one the matrix already has through I, so a
+  // closed matrix stays closed.
+  kernel::visit(*B.M, [&](auto &M) {
+    for (unsigned K = 0; K < Sources.size(); ++K)
+      for (unsigned Row = 0; Row < N; ++Row)
+        M.set(Row, N + K, M.get(Row, Sources[K]));
+    for (unsigned K = 0; K < Sources.size(); ++K)
+      for (unsigned Col = 0; Col < NewN; ++Col)
+        M.set(N + K, Col, M.get(Sources[K], Col));
+  });
+  B.reaccount();
 }
 
 void ConstraintGraph::moveNamespace(std::string_view From,
@@ -279,23 +302,12 @@ void ConstraintGraph::moveNamespace(std::string_view From,
       (isAnchorName(Name.substr(From.size() + 1)) ? Anchors : Moved)
           .push_back(I);
   }
-  if (Moved.empty()) {
-    removeSlots(std::move(Anchors));
-    return;
+  if (!Moved.empty()) {
+    VarId ToId = Syms->intern(To);
+    for (unsigned I : Moved)
+      Vars[I] = Syms->renamed(Vars[I], ToId);
+    assertDistinct(Vars);
   }
-  close();
-  // The copy of variable I would take row I and column I, and repairing
-  // closure after its two edges relaxes every row through I; the copy
-  // then stands where I stood once the original is projected out.
-  for (unsigned I : Moved) {
-    if (!Cow.ro().Feasible)
-      break;
-    relaxThroughPivot(I);
-  }
-  VarId ToId = Syms->intern(To);
-  for (unsigned I : Moved)
-    Vars[I] = Syms->renamed(Vars[I], ToId);
-  assertDistinct(Vars);
   removeSlots(std::move(Anchors));
 }
 
@@ -378,7 +390,7 @@ void ConstraintGraph::assign(VarId X, const LinearExpr &E) {
     std::int64_t C = E.constant();
     if (C == 0)
       return;
-    close();
+    closeForEdit();
     if (!Cow.ro().Feasible)
       return;
     unsigned I = ensureSlot(X);
@@ -405,7 +417,7 @@ void ConstraintGraph::havoc(const std::string &X) {
 }
 
 void ConstraintGraph::havocSlot(unsigned Slot) {
-  close();
+  closeForEdit();
   unsigned N = static_cast<unsigned>(Vars.size());
   kernel::visit(*mutableBlock().M, [&](auto &M) {
     for (unsigned J = 0; J < N; ++J) {
@@ -432,6 +444,10 @@ void ConstraintGraph::close() const {
     const DbmShared &B = Cow.ro();
     if (B.Closed || !B.Feasible)
       return;
+    if (B.Iterate) {
+      closeIterate();
+      return;
+    }
   }
   // Closing canonicalizes the represented constraint set without changing
   // it, so the work happens in the *shared* block: every copy still
@@ -463,6 +479,24 @@ void ConstraintGraph::close() const {
   B.Closed = true;
 }
 
+void ConstraintGraph::closeIterate() const {
+  // Every other handle keeps the iterate as it was widened; this one takes
+  // a private copy and closes it. The closure memo is bypassed: widened
+  // matrices rarely recur.
+  if (Cow.detach())
+    bump(Cells.CowDetaches);
+  DbmShared &B = Cow.rwShared();
+  B.Iterate = false;
+  B.EverClosed = true;
+  fullClose(B);
+  B.Closed = true;
+}
+
+void ConstraintGraph::closeForEdit() {
+  if (!Cow.ro().Iterate)
+    close();
+}
+
 void ConstraintGraph::detachAccounting() const {
   DbmShared &B = Cow.rwShared();
   if (B.Accountant && B.AccountedBytes)
@@ -488,24 +522,6 @@ void ConstraintGraph::closeAfterEdge(DbmShared &B, unsigned I,
   ScopedNanoTimer Timer(Cells.ClosureNanos);
   if (!kernel::closeAfterEdge(*B.M, I, J))
     B.Feasible = false;
-}
-
-void ConstraintGraph::relaxThroughPivot(unsigned I) {
-  const DbmStorage &M = *Cow.ro().M;
-  // A negative cycle through I; the copy's back edge I -> copy found it.
-  if (M.get(I, I) < 0) {
-    mutableBlock().Feasible = false;
-    return;
-  }
-  assert(M.get(I, I) == 0 && "closure keeps every diagonal at most zero");
-  unsigned N = static_cast<unsigned>(Vars.size());
-  bump(Cells.IncrCalls);
-  bump(Cells.IncrVarsum, N);
-  ScopedNanoTimer Timer(Cells.ClosureNanos);
-  // Read first: a shared block is left alone unless some cell tightens.
-  // With M[I][I] == 0, the edge repair for I -> I is the pivot step.
-  if (kernel::firstRowTightenedThrough(M, I) < N)
-    kernel::closeAfterEdge(*mutableBlock().M, I, I);
 }
 
 //===----------------------------------------------------------------------===//
@@ -733,12 +749,14 @@ static void widenCells(MineT &Mine, const TheirsT &MO,
 void ConstraintGraph::widenWith(const ConstraintGraph &O) {
   if (!O.isFeasible())
     return; // Old value stands.
-  if (!isFeasible()) {
+  // An iterate is widened as it stands; anything else enters the
+  // iteration closed.
+  if (!Cow.ro().Iterate)
+    close();
+  if (!Cow.ro().Feasible) {
     *this = O;
     return;
   }
-  close();
-  O.close();
   // Keep a bound of *this only when O does not weaken it; drop everything
   // else to infinity. Variables O lacks are unconstrained there, so their
   // bounds drop too.
@@ -752,9 +770,13 @@ void ConstraintGraph::widenWith(const ConstraintGraph &O) {
       widenCells(Mine, MO, MapO, N);
     });
   });
-  // A widened matrix is not re-closed: closing could re-tighten dropped
-  // bounds and break the finite-ascent guarantee.
-  B.Closed = true;
+  // The result is the next iterate (Mine, "The Octagon Abstract Domain",
+  // HOSC 2006): it is never closed, because closing could re-tighten the
+  // dropped bounds and break the finite-ascent guarantee, but every query
+  // sees its closure (see closeIterate).
+  B.Iterate = true;
+  B.Closed = false;
+  B.EverClosed = true;
   B.PendingEdge.reset();
 }
 

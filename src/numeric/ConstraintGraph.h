@@ -18,6 +18,12 @@
 /// calls, avg 52.3 / 66.3 vars). Both bump StatsRegistry counters so the
 /// benchmark harness can reproduce that profile.
 ///
+/// Every matrix is truly closed once closure has run on it, except a
+/// widening iterate (widenWith), which stays as widened and is closed
+/// only in private copies. The single-edge repair relies on this: its
+/// test of the new edge's two-cycle finds every negative cycle only when
+/// the matrix before the edge was closed.
+///
 /// The representation implements the paper's Section IX optimization
 /// directions end to end:
 ///
@@ -224,23 +230,20 @@ public:
   }
 
   /// Adds `<To>.<b> == <From>.<b>` for every variable `<From>.<b>`, in
-  /// slot order, skipping anchor bases (`lo$`, ...) when \p SkipAnchors.
-  /// Adds exactly the edges, in the order, that
-  /// `addEQ(form("<To>.<b>"), form("<From>.<b>"))` per variable would:
-  /// warm matrices repair each edge as it comes.
+  /// slot order, skipping anchor bases (`lo$`, ...) when \p SkipAnchors:
+  /// the graph `addEQ(form("<To>.<b>"), form("<From>.<b>"))` per variable
+  /// would give, built by duplicating each variable's row and column in
+  /// O(n). A closed graph stays closed and runs no closure. \p To must
+  /// hold no variable under a copied base.
   void copyNamespace(std::string_view From, const std::string &To,
                      bool SkipAnchors);
 
   /// `copyNamespace(From, To, /*SkipAnchors=*/true)` followed by
   /// `removeNamespace(From)`, up to slot order, without the copy: each
   /// non-anchor `<From>.<b>` is renamed to `<To>.<b>` in its slot, and
-  /// From's anchors are projected out. The copy's closure repairs are
-  /// kept as single-pivot relaxations through each moved variable, in
-  /// slot order, because a widened matrix is marked closed without being
-  /// closed and those repairs can tighten it; a negative pivot diagonal
-  /// makes the graph infeasible, exactly where the copy's back edge
-  /// would. A shared block is detached only when a relaxation tightens a
-  /// cell. \p To must hold no variable under a moved base.
+  /// From's anchors are projected out. Renaming needs no closure, so with
+  /// no anchors to project the block is neither closed nor detached.
+  /// \p To must hold no variable under a moved base.
   void moveNamespace(std::string_view From, const std::string &To);
 
   //===--------------------------------------------------------------------===
@@ -332,7 +335,14 @@ public:
   void joinWith(const ConstraintGraph &O);
 
   /// In-place widening: keeps only constraints of *this that are stable in
-  /// \p O; everything else is dropped to infinity.
+  /// \p O; everything else is raised to a threshold or to infinity.
+  ///
+  /// The result is a widening iterate: it is never closed, so the next
+  /// widening of it still sees what this one dropped, yet it represents
+  /// its closure. Any query, and any operation that needs a closed matrix,
+  /// closes a private copy and leaves every other handle to the iterate
+  /// as widened; havoc, assignment and added edges edit it as it stands.
+  /// A graph that is not an iterate is closed before it is widened.
   void widenWith(const ConstraintGraph &O);
 
   /// In-place meet (conjunction).
@@ -420,11 +430,13 @@ private:
   /// closed before. O(n^2). Delegates to kernel::closeAfterEdge.
   void closeAfterEdge(DbmShared &B, unsigned I, unsigned J) const;
 
-  /// Relaxes the closed matrix through pivot \p I (kernel::closeAfterEdge
-  /// with I == J), or marks the graph infeasible when the pivot's
-  /// diagonal is negative.
-  /// Counts as one incremental closure; detaches only on a change.
-  void relaxThroughPivot(unsigned I);
+  /// close() on a widening iterate: fully closes a private copy for this
+  /// handle, without the memo.
+  void closeIterate() const;
+
+  /// close() before an edit that is exact only on a closed matrix (havoc,
+  /// shift); a widening iterate is edited as it stands instead.
+  void closeForEdit();
 
   /// Cached StatsRegistry counter cells, resolved once per fresh graph so
   /// the hot paths (state copies, closures) bump an atomic directly

@@ -238,6 +238,7 @@ void CowDbm::adoptPrivate(std::unique_ptr<DbmStorage> M) {
   Fresh->Feasible = B->Feasible;
   Fresh->PendingEdge = B->PendingEdge;
   Fresh->EverClosed = B->EverClosed;
+  Fresh->Iterate = B->Iterate;
   Fresh->reaccount();
   B = std::move(Fresh);
 }

@@ -275,6 +275,11 @@ struct DbmShared {
   /// steady-state pattern. Heuristic bookkeeping only — it never affects
   /// the represented constraint set.
   bool EverClosed = false;
+  /// Set on a widening iterate (ConstraintGraph::widenWith): a matrix that
+  /// represents its closure but is never closed itself, so the next
+  /// widening still sees the bounds this one dropped. Closing a handle to
+  /// it closes a private copy; the iterate stays as it was widened.
+  bool Iterate = false;
 
   /// Bytes currently charged to Accountant for this block's matrix.
   std::uint64_t AccountedBytes = 0;

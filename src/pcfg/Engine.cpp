@@ -73,7 +73,13 @@ public:
 
 private:
   struct Stored {
+    /// The variant's state: closed, like every state the engine steps.
     PcfgState State;
+    /// The widening iterate whose closure State.Cg is, once the variant
+    /// has been widened: the left operand of its next widening, never
+    /// stepped or queried. Empty before the first widening (State.Cg is
+    /// then its own iterate) and after a join.
+    std::optional<ConstraintGraph> Iterate;
     unsigned Visits = 0;
     /// Bugs describing why the last step of this variant was stuck;
     /// empty when the variant progressed. Cleared on every update.
@@ -246,7 +252,10 @@ CommitOutcome Engine::decideSubmission(std::uint32_t Cid,
     const Stored &Entry = C.Variants[V];
     PcfgState Acc = Entry.State;
     bool Widen = AtLoopHeader && Entry.Visits >= Opts.WidenDelay;
-    bool Ok = Widen ? widenStates(Acc, St) : joinStates(Acc, St);
+    std::optional<ConstraintGraph> Iterate;
+    if (Widen)
+      Iterate = Entry.Iterate ? *Entry.Iterate : Entry.State.Cg;
+    bool Ok = Widen ? widenStates(Acc, St, *Iterate) : joinStates(Acc, St);
     if (!Ok)
       continue;
     CommitOutcome Out;
@@ -266,6 +275,7 @@ CommitOutcome Engine::decideSubmission(std::uint32_t Cid,
     Acc.Cg.close();
     Out.K = CommitOutcome::Kind::Updated;
     Out.NewState = std::move(Acc);
+    Out.NewIterate = std::move(Iterate);
     return Out;
   }
   return CommitOutcome{}; // Default kind: NewVariant.
@@ -276,7 +286,7 @@ void Engine::applyOutcome(std::uint32_t Cid, PcfgState St, CommitOutcome Out) {
   std::vector<Stored> &Variants = Configs[Cid].Variants;
   switch (Out.K) {
   case CommitOutcome::Kind::NewVariant:
-    Variants.push_back(Stored{std::move(St), 1, {}});
+    Variants.push_back(Stored{std::move(St), std::nullopt, 1, {}});
     push(Cid, Variants.size() - 1);
     return;
   case CommitOutcome::Kind::Fixpoint:
@@ -286,6 +296,7 @@ void Engine::applyOutcome(std::uint32_t Cid, PcfgState St, CommitOutcome Out) {
     Stored &Entry = Variants[Out.Variant];
     Entry.Visits++;
     Entry.State = std::move(*Out.NewState);
+    Entry.Iterate = std::move(Out.NewIterate);
     Entry.Stuck.clear(); // Superseded; the variant will be re-stepped.
     push(Cid, Out.Variant);
     return;
@@ -507,9 +518,13 @@ AnalysisResult Engine::run() {
       for (StepEffects::Item &It : S.Fx.Items)
         if (It.K == StepEffects::Item::Kind::Submit)
           It.Sub->Cg.detachAccounting();
-      for (CommitOutcome &O : S.Outcomes)
-        if (O.K == CommitOutcome::Kind::Updated)
-          O.NewState->Cg.detachAccounting();
+      for (CommitOutcome &O : S.Outcomes) {
+        if (O.K != CommitOutcome::Kind::Updated)
+          continue;
+        O.NewState->Cg.detachAccounting();
+        if (O.NewIterate)
+          O.NewIterate->detachAccounting();
+      }
     }
     Opts.Capture->Trace = std::move(Captured);
   }

@@ -248,8 +248,10 @@ ProcRange reanchorRange(ConstraintGraph &Cg, const std::string &OwnerNs,
                    reanchorBound(Cg, OwnerNs, "ub$", Range.ub()));
 }
 
-/// Shared shape checks + range combination for join/widen.
-bool combineStates(PcfgState &Acc, const PcfgState &New, bool Widen) {
+/// Shared shape checks + range combination for join/widen. A widening
+/// (\p Iterate set) widens *Iterate and makes Acc.Cg its closure.
+bool combineStates(PcfgState &Acc, const PcfgState &New,
+                   ConstraintGraph *Iterate) {
   if (Acc.Sets.size() != New.Sets.size() ||
       Acc.InFlight.size() != New.InFlight.size())
     return false;
@@ -294,30 +296,37 @@ bool combineStates(PcfgState &Acc, const PcfgState &New, bool Widen) {
     }
   }
 
-  if (Widen) {
+  // The anchor edits below go to the graph the next combination starts
+  // from: the widening iterate, as raw edges, when widening.
+  ConstraintGraph &Cg = Iterate ? *Iterate : Acc.Cg;
+  if (Iterate) {
     // Widening per Figure 4: join then drop bounds unstable w.r.t. the
-    // accumulated state (finite ascent).
+    // accumulated state (finite ascent). The left operand is the
+    // iterate, never closed; the join reads its closure, Acc.Cg.
     ConstraintGraph Joined = Acc.Cg;
     Joined.joinWith(New.Cg);
-    Acc.Cg.widenWith(Joined);
+    Iterate->widenWith(Joined);
   } else {
     Acc.Cg.joinWith(New.Cg);
   }
 
   for (size_t I = 0; I < Acc.Sets.size(); ++I) {
-    Acc.Sets[I].Range =
-        reanchorRange(Acc.Cg, Acc.Sets[I].Name, Ranges[I]);
+    Acc.Sets[I].Range = reanchorRange(Cg, Acc.Sets[I].Name, Ranges[I]);
     Acc.Sets[I].NonUniform.insertAll(New.Sets[I].NonUniform);
   }
   for (size_t I = 0; I < Acc.InFlight.size(); ++I) {
     Acc.InFlight[I].Senders =
-        reanchorRange(Acc.Cg, Acc.InFlight[I].FreezeNs, Pending[I]);
+        reanchorRange(Cg, Acc.InFlight[I].FreezeNs, Pending[I]);
     if (PendingAgg[I])
       Acc.InFlight[I].AggRange = ProcRange(
-          reanchorBound(Acc.Cg, Acc.InFlight[I].FreezeNs, "alo$",
+          reanchorBound(Cg, Acc.InFlight[I].FreezeNs, "alo$",
                         PendingAgg[I]->lb()),
-          reanchorBound(Acc.Cg, Acc.InFlight[I].FreezeNs, "ahi$",
+          reanchorBound(Cg, Acc.InFlight[I].FreezeNs, "ahi$",
                         PendingAgg[I]->ub()));
+  }
+  if (Iterate) {
+    Acc.Cg = *Iterate;
+    Acc.Cg.close();
   }
   Acc.NextSeq = std::max(Acc.NextSeq, New.NextSeq);
   Acc.Facts.intersectWith(New.Facts);
@@ -327,11 +336,12 @@ bool combineStates(PcfgState &Acc, const PcfgState &New, bool Widen) {
 } // namespace
 
 bool csdf::joinStates(PcfgState &Acc, const PcfgState &New) {
-  return combineStates(Acc, New, /*Widen=*/false);
+  return combineStates(Acc, New, nullptr);
 }
 
-bool csdf::widenStates(PcfgState &Acc, const PcfgState &New) {
-  return combineStates(Acc, New, /*Widen=*/true);
+bool csdf::widenStates(PcfgState &Acc, const PcfgState &New,
+                       ConstraintGraph &Iterate) {
+  return combineStates(Acc, New, &Iterate);
 }
 
 bool csdf::statesEqual(const PcfgState &A, const PcfgState &B) {

@@ -202,8 +202,13 @@ public:
 bool joinStates(PcfgState &Acc, const PcfgState &New);
 
 /// Like joinStates but widens the constraint graph (drops unstable
-/// bounds), guaranteeing finite ascent around loops.
-bool widenStates(PcfgState &Acc, const PcfgState &New);
+/// bounds), guaranteeing finite ascent around loops. \p Iterate is the
+/// widening iterate whose closure Acc.Cg is (a copy of Acc.Cg itself
+/// before the first widening); it is widened and given the anchor edits
+/// in place, and on success Acc.Cg is its closure. On failure neither
+/// graph is changed.
+bool widenStates(PcfgState &Acc, const PcfgState &New,
+                 ConstraintGraph &Iterate);
 
 /// Structural equality of canonicalized states (used for fixpoint checks).
 /// Both states must intern into one SymbolTable, as every state of one

@@ -90,6 +90,11 @@ struct CommitOutcome {
   /// Updated only: the stored variant's post-join state, captured after
   /// closure (exactly what the table held after this commit).
   std::optional<PcfgState> NewState;
+  /// Updated by a widening only: the new widening iterate, whose closure
+  /// NewState's graph is. A replay must restore it too, or its next
+  /// widening would start from the closed state and diverge from a cold
+  /// run.
+  std::optional<ConstraintGraph> NewIterate;
 };
 
 /// One worklist position of a recorded exploration: the step's effect log

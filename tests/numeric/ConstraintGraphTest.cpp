@@ -212,6 +212,59 @@ TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
   EXPECT_TRUE(State.provesLE(LinearExpr(1), State.form("i", 0)));
 }
 
+/// `x <= y + 1`, `y <= z + 1`, and `x <= z` widened away: the iterate
+/// holds only the first two edges.
+ConstraintGraph widenedChain(ConstraintGraph G) {
+  G.addLE("x", "y", 1);
+  G.addLE("y", "z", 1);
+  ConstraintGraph Weaker = G;
+  G.addLE("x", "z", 0);
+  G.widenWith(Weaker);
+  return G;
+}
+
+TEST_P(ConstraintGraphTest, WidenedGraphEqualsItsClosure) {
+  ConstraintGraph Scratch = make();
+  Scratch.addLE("x", "y", 1);
+  Scratch.addLE("y", "z", 1);
+  ConstraintGraph W = widenedChain(make());
+  // A query sees the closure, which re-derives `x <= z + 2`...
+  ConstraintGraph Query = W;
+  EXPECT_EQ(Query.bestBound("x", "z"), std::optional<std::int64_t>(2));
+  EXPECT_EQ(Query.str(), Scratch.str());
+  EXPECT_TRUE(Query.equals(Scratch));
+  EXPECT_TRUE(Scratch.equals(Query));
+  // ...without closing the iterate: its next widening still sees
+  // `x <= z` as dropped, even against a graph that keeps `x <= z + 2`,
+  // where widening the (closed) query keeps that bound.
+  ConstraintGraph Next = make();
+  Next.addLE("x", "y", 1);
+  Next.addLE("y", "z", 3);
+  Next.addLE("x", "z", 2);
+  W.widenWith(Next);
+  EXPECT_FALSE(W.bestBound("x", "z").has_value());
+  EXPECT_EQ(W.bestBound("x", "y"), std::optional<std::int64_t>(1));
+  Query.widenWith(Next);
+  EXPECT_EQ(Query.bestBound("x", "z"), std::optional<std::int64_t>(2));
+}
+
+TEST_P(ConstraintGraphTest, EdgeAfterWideningFindsNegativeCycle) {
+  // `z <= x - 11` closes the cycle x -> y -> z -> x at weight -9 through
+  // the two edges the widening kept.
+  ConstraintGraph Iterate = widenedChain(make());
+  Iterate.addLE("z", "x", -11);
+  EXPECT_FALSE(Iterate.isFeasible());
+  // The same edge on the closed state takes the incremental repair.
+  ConstraintGraph Closed = widenedChain(make());
+  Closed.close();
+  Closed.addLE("z", "x", -11);
+  EXPECT_FALSE(Closed.isFeasible());
+  ConstraintGraph Slack = widenedChain(make());
+  Slack.close();
+  Slack.addLE("z", "x", -2);
+  EXPECT_TRUE(Slack.isFeasible());
+}
+
 TEST_P(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
   ConstraintGraph A = make();
   A.assign("x", LinearExpr(5));

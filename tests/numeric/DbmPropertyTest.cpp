@@ -42,6 +42,12 @@ private:
 
 std::string varName(int I) { return "v" + std::to_string(I); }
 
+std::vector<std::string> sortedVarNames(const ConstraintGraph &G) {
+  std::vector<std::string> Names = G.varNames();
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
 /// Builds a random feasible-ish graph over NumVars variables.
 ConstraintGraph randomGraph(Rng &R, int NumVars, int NumEdges,
                             DbmBackend Backend) {
@@ -723,6 +729,342 @@ TEST_P(DbmPropertyTest, FusedClonesMatchCloneThenMutate) {
     EXPECT_EQ(dbmSnapshot(D), Before) << "a copy changed its source";
     EXPECT_EQ(D.byteSize(), Bytes);
   }
+}
+
+/// The Floyd–Warshall oracle for NamespacedOpsMatchOracle: the matrix a
+/// ConstraintGraph holds, over names, in plain vectors. Queries close a
+/// copy. Like the graph, a widening leaves an iterate that the next
+/// widening reads as it stands, and an operation that needs a closed
+/// matrix closes it for good.
+class Oracle {
+public:
+  using Matrix = std::vector<std::vector<std::int64_t>>;
+
+  int find(const std::string &Name) const {
+    auto It = std::find(Names.begin(), Names.end(), Name);
+    return It == Names.end() ? -1 : static_cast<int>(It - Names.begin());
+  }
+
+  unsigned ensure(const std::string &Name) {
+    if (int I = find(Name); I >= 0)
+      return static_cast<unsigned>(I);
+    Names.push_back(Name);
+    for (std::vector<std::int64_t> &Row : M)
+      Row.push_back(DbmInfinity);
+    M.emplace_back(Names.size(), DbmInfinity);
+    M.back().back() = 0;
+    return static_cast<unsigned>(Names.size() - 1);
+  }
+
+  void addLE(const std::string &A, const std::string &B, std::int64_t C) {
+    unsigned I = ensure(A), J = ensure(B);
+    M[I][J] = std::min(M[I][J], C);
+  }
+
+  /// The closure, or nullopt when the constraints are infeasible.
+  std::optional<Matrix> closed() const {
+    Matrix C = M;
+    const std::size_t N = C.size();
+    for (std::size_t K = 0; K < N; ++K)
+      for (std::size_t I = 0; I < N; ++I)
+        for (std::size_t J = 0; J < N; ++J)
+          C[I][J] = std::min(C[I][J], dbmAdd(C[I][K], C[K][J]));
+    for (std::size_t I = 0; I < N; ++I)
+      if (C[I][I] < 0)
+        return std::nullopt;
+    return C;
+  }
+
+  bool feasible() const { return closed().has_value(); }
+
+  void close() {
+    M = *closed();
+    Iterate = false;
+  }
+
+  /// The closed bound of `A <= B + c`; DbmInfinity when a name is absent.
+  std::int64_t bound(const Matrix &C, const std::string &A,
+                     const std::string &B) const {
+    int I = find(A), J = find(B);
+    if (I < 0 || J < 0)
+      return A == B ? 0 : DbmInfinity;
+    return C[I][J];
+  }
+
+  void join(const Oracle &O) {
+    if (!O.feasible())
+      return;
+    close();
+    Matrix OC = *O.closed();
+    for (const std::string &Name : O.Names)
+      ensure(Name);
+    for (std::size_t I = 0; I < Names.size(); ++I)
+      for (std::size_t J = 0; J < Names.size(); ++J)
+        M[I][J] = std::max(M[I][J], O.bound(OC, Names[I], Names[J]));
+  }
+
+  void widen(const Oracle &O) {
+    if (!O.feasible())
+      return;
+    if (!Iterate)
+      close();
+    Matrix OC = *O.closed();
+    for (std::size_t I = 0; I < Names.size(); ++I)
+      for (std::size_t J = 0; J < Names.size(); ++J) {
+        std::int64_t Theirs = O.bound(OC, Names[I], Names[J]);
+        if (I == J || M[I][J] >= DbmInfinity || Theirs <= M[I][J])
+          continue;
+        std::int64_t Widened = DbmInfinity;
+        for (std::int64_t T : {-1, 0, 1})
+          if (Theirs <= T) {
+            Widened = T;
+            break;
+          }
+        M[I][J] = Widened;
+      }
+    Iterate = true;
+  }
+
+  /// `<To>.<b> == <From>.<b>` for each `<From>.<b>` (anchors skipped when
+  /// asked), as a copy of the row and column of `<From>.<b>`.
+  void copyNs(const std::string &From, const std::string &To,
+              bool SkipAnchors) {
+    const std::size_t N = Names.size();
+    for (std::size_t S = 0; S < N; ++S) {
+      std::string_view Name = Names[S];
+      if (!inNamespace(Name, From) ||
+          (SkipAnchors && isAnchorName(Name.substr(From.size() + 1))))
+        continue;
+      unsigned C = ensure(To + std::string(Name.substr(From.size())));
+      for (std::size_t R = 0; R < Names.size(); ++R)
+        M[R][C] = M[R][S];
+      M[C] = M[S];
+    }
+  }
+
+  void moveNs(const std::string &From, const std::string &To) {
+    std::vector<std::string> Anchors;
+    for (std::string &Name : Names)
+      if (inNamespace(Name, From)) {
+        if (isAnchorName(std::string_view(Name).substr(From.size() + 1)))
+          Anchors.push_back(Name);
+        else
+          Name = To + Name.substr(From.size());
+      }
+    project(Anchors);
+  }
+
+  void project(const std::vector<std::string> &Victims) {
+    std::vector<std::size_t> Keep;
+    for (std::size_t I = 0; I < Names.size(); ++I)
+      if (!std::count(Victims.begin(), Victims.end(), Names[I]))
+        Keep.push_back(I);
+    if (Keep.size() == Names.size())
+      return;
+    close();
+    Oracle Kept;
+    Kept.Names.clear();
+    Kept.M.assign(Keep.size(), std::vector<std::int64_t>(Keep.size()));
+    for (std::size_t I = 0; I < Keep.size(); ++I) {
+      Kept.Names.push_back(Names[Keep[I]]);
+      for (std::size_t J = 0; J < Keep.size(); ++J)
+        Kept.M[I][J] = M[Keep[I]][Keep[J]];
+    }
+    Names = std::move(Kept.Names);
+    M = std::move(Kept.M);
+  }
+
+  std::vector<std::string> Names{"$0"};
+  Matrix M{{0}};
+  bool Iterate = false;
+};
+
+/// The graph's answer to `A <= B + c` in the oracle's terms, where `$0`
+/// is the zero variable.
+std::int64_t graphBound(const ConstraintGraph &G, const std::string &A,
+                        const std::string &B) {
+  std::optional<std::int64_t> Bound;
+  if (A == "$0")
+    Bound = constBounds(G, B).second; // `0 <= B + c`: c is minus B's floor.
+  else if (B == "$0")
+    Bound = constBounds(G, A).first;
+  else
+    Bound = G.bestBound(A, B);
+  if (A == "$0" && Bound)
+    Bound = -*Bound;
+  return Bound ? *Bound : DbmInfinity;
+}
+
+TEST_P(DbmPropertyTest, NamespacedOpsMatchOracle) {
+  // Random sequences of add / join / widen / copy / move / project on
+  // namespaced graphs, each applied to a dense graph, a map graph and the
+  // oracle. After every step a copy of each graph (so that querying it
+  // leaves a widening iterate as widened) must agree with the oracle's
+  // closure on feasibility, on every bound, and on equality with the
+  // previous step's state.
+  static const char *const Pool[] = {"p1.x", "p1.y", "p1.lo$", "p2.x",
+                                     "p2.ub$", "np", "g"};
+  Rng R(GetParam() + 1000);
+  unsigned Widenings = 0, ReDerived = 0;
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    auto Syms = std::make_shared<SymbolTable>();
+    std::vector<ConstraintGraph> Gs = {
+        ConstraintGraph(DbmBackend::Dense, nullptr, Syms),
+        ConstraintGraph(DbmBackend::MapBased, nullptr, Syms)};
+    Oracle O;
+    auto Pick = [&]() -> std::string {
+      if (O.Names.size() > 1 && R.range(0, 1) == 0)
+        return O.Names[static_cast<std::size_t>(
+            R.range(1, static_cast<std::int64_t>(O.Names.size()) - 1))];
+      return Pool[R.range(0, std::size(Pool) - 1)];
+    };
+    /// A random graph over the pool, built alike as graph and oracle.
+    auto Other = [&](DbmBackend Backend, Oracle &OO) {
+      ConstraintGraph G(Backend, nullptr, Syms);
+      Rng Again = R;
+      for (int E = 0; E < 5; ++E) {
+        std::string A = Pool[Again.range(0, std::size(Pool) - 1)];
+        std::string B = Pool[Again.range(0, std::size(Pool) - 1)];
+        if (A == B)
+          continue;
+        std::int64_t C = Again.range(0, 6);
+        G.addLE(A, B, C);
+        OO.addLE(A, B, C);
+      }
+      return G;
+    };
+    for (int E = 0; E < 4; ++E) {
+      std::string A = Pick(), B = Pick();
+      if (A == B)
+        continue;
+      std::int64_t C = R.range(0, 6);
+      for (ConstraintGraph &G : Gs)
+        G.addLE(A, B, C);
+      O.addLE(A, B, C);
+    }
+    std::vector<ConstraintGraph> Prev = Gs;
+    Oracle PrevO = O;
+    for (int Step = 0; Step < 14; ++Step) {
+      int Op = static_cast<int>(R.range(0, 6));
+      std::string Fresh = "c" + std::to_string(Step);
+      std::string From = R.range(0, 1) ? "p1" : "p2";
+      switch (Op) {
+      case 0: { // add
+        std::string A = Pick(), B = Pick();
+        std::int64_t C = R.range(-2, 6);
+        if (A == B)
+          break;
+        for (ConstraintGraph &G : Gs)
+          G.addLE(A, B, C);
+        O.addLE(A, B, C);
+        break;
+      }
+      case 1: { // join
+        for (ConstraintGraph &G : Gs) {
+          Oracle Unused;
+          G.joinWith(Other(G.backend(), Unused));
+        }
+        Oracle OO;
+        Other(DbmBackend::Dense, OO);
+        O.join(OO);
+        break;
+      }
+      case 2: { // widen by the join of the state and a random graph
+        for (ConstraintGraph &G : Gs) {
+          Oracle Unused;
+          ConstraintGraph J = G;
+          J.joinWith(Other(G.backend(), Unused));
+          G.widenWith(J);
+        }
+        Oracle OO, J = O;
+        Other(DbmBackend::Dense, OO);
+        J.join(OO);
+        O.widen(J);
+        ++Widenings;
+        break;
+      }
+      case 3: { // widen by the join with the previous state, as a loop does
+        for (std::size_t K = 0; K < Gs.size(); ++K) {
+          ConstraintGraph J = Gs[K];
+          J.joinWith(Prev[K]);
+          Gs[K].widenWith(J);
+        }
+        Oracle J = O;
+        J.join(PrevO);
+        O.widen(J);
+        ++Widenings;
+        break;
+      }
+      case 4: { // copy
+        bool Skip = R.range(0, 1) == 0;
+        for (ConstraintGraph &G : Gs)
+          G.copyNamespace(From, Fresh, Skip);
+        O.copyNs(From, Fresh, Skip);
+        break;
+      }
+      case 5: { // move
+        for (ConstraintGraph &G : Gs)
+          G.moveNamespace(From, Fresh);
+        O.moveNs(From, Fresh);
+        break;
+      }
+      default: { // project
+        std::vector<std::string> Victims = {Pick()};
+        for (ConstraintGraph &G : Gs)
+          G.removeVars(Victims);
+        O.project(Victims);
+        break;
+      }
+      }
+      R.next(); // Other() replays R without advancing it.
+
+      auto Closed = O.closed();
+      auto PrevClosed = PrevO.closed();
+      for (std::size_t K = 0; K < Gs.size(); ++K) {
+        SCOPED_TRACE(testing::Message() << "trial " << Trial << " step "
+                                        << Step << " op " << Op
+                                        << " backend " << K);
+        ConstraintGraph Query = Gs[K];
+        ASSERT_EQ(Query.isFeasible(), Closed.has_value());
+        if (!Closed)
+          continue;
+        std::vector<std::string> Sorted = O.Names;
+        Sorted.erase(Sorted.begin());
+        std::sort(Sorted.begin(), Sorted.end());
+        EXPECT_EQ(sortedVarNames(Query), Sorted);
+        for (const std::string &A : O.Names)
+          for (const std::string &B : O.Names)
+            if (A != B) {
+              std::int64_t Want = O.bound(*Closed, A, B);
+              EXPECT_EQ(graphBound(Query, A, B), Want) << A << " <= " << B;
+              ReDerived += O.Iterate && Want < DbmInfinity &&
+                           O.M[static_cast<std::size_t>(O.find(A))]
+                              [static_cast<std::size_t>(O.find(B))] !=
+                               Want;
+            }
+        if (PrevClosed) {
+          bool Same = true;
+          std::vector<std::string> Union = O.Names;
+          for (const std::string &Name : PrevO.Names)
+            if (!std::count(Union.begin(), Union.end(), Name))
+              Union.push_back(Name);
+          for (const std::string &A : Union)
+            for (const std::string &B : Union)
+              Same &= A == B || O.bound(*Closed, A, B) ==
+                                    PrevO.bound(*PrevClosed, A, B);
+          ConstraintGraph PrevQuery = Prev[K];
+          EXPECT_EQ(Query.equals(PrevQuery), Same);
+        }
+      }
+      if (!Closed)
+        break;
+      Prev = Gs;
+      PrevO = O;
+    }
+  }
+  // The sequences do widen, and queries do see bounds the iterates lack.
+  EXPECT_GT(Widenings, 0u);
+  EXPECT_GT(ReDerived, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbmPropertyTest,

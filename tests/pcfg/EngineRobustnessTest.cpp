@@ -363,6 +363,10 @@ TEST(EngineRobustnessTest, ProverStepsMatchesAndOutcomesArePinned) {
   // Recorded before the HSM match memo existed: a memo hit must charge
   // exactly the steps the proof it replays took, and change nothing else.
   // Columns: name, prover steps, matches, states explored, outcome.
+  // The four loop kernels that widen take 3-5 more states than when the
+  // widened graph was stored unclosed: the stored closure now keeps
+  // derived bounds (e.g. `p0.i <= p0.x - 39` with `p0.x == 42`), which
+  // climb through the thresholds -1, 0, 1 one widening at a time.
   struct Row {
     const char *Name;
     std::uint64_t ProverSteps;
@@ -373,8 +377,8 @@ TEST(EngineRobustnessTest, ProverStepsMatchesAndOutcomesArePinned) {
   static const Row Expected[] = {
       {"figure2-exchange", 0, 2, 6, "complete"},
       {"gather-to-root", 0, 2, 8, "complete"},
-      {"fan-out-broadcast", 0, 5, 21, "complete"},
-      {"exchange-with-root", 0, 5, 35, "complete"},
+      {"fan-out-broadcast", 0, 5, 24, "complete"},
+      {"exchange-with-root", 0, 5, 40, "complete"},
       {"transpose-square", 3, 1, 2, "complete"},
       {"transpose-rect", 6, 1, 2, "complete"},
       {"nascg-transpose", 9, 2, 6, "complete"},
@@ -390,7 +394,7 @@ TEST(EngineRobustnessTest, ProverStepsMatchesAndOutcomesArePinned) {
       {"wildcard-unique-sender", 0, 1, 5, "complete"},
       {"any_source_clean.mpl", 0, 1, 5, "complete"},
       {"any_source_race.mpl", 0, 0, 4, "degraded-to-top"},
-      {"broadcast.mpl", 0, 5, 33, "complete"},
+      {"broadcast.mpl", 0, 5, 37, "complete"},
       {"dead_store.mpl", 0, 1, 4, "complete"},
       {"leak.mpl", 0, 1, 3, "complete"},
       {"nb_buffer_race.mpl", 0, 1, 4, "complete"},
@@ -401,7 +405,7 @@ TEST(EngineRobustnessTest, ProverStepsMatchesAndOutcomesArePinned) {
       {"nb_request_leak.mpl", 0, 0, 3, "complete"},
       {"nb_wait_uninit.mpl", 0, 0, 2, "degraded-to-top"},
       {"oob_partner.mpl", 0, 0, 3, "degraded-to-top"},
-      {"proc_pipeline.mpl", 0, 5, 31, "complete"},
+      {"proc_pipeline.mpl", 0, 5, 36, "complete"},
       {"self_send.mpl", 0, 1, 3, "complete"},
       {"shift.mpl", 2, 2, 7, "degraded-to-top"},
       {"stress_phases.mpl", 1800, 600, 1200, "complete"},

@@ -8,6 +8,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "pcfg/Engine.h"
+#include "pcfg/Replay.h"
+#include "pcfg/Step.h"
 
 #include "cfg/CfgBuilder.h"
 #include "interp/Interpreter.h"
@@ -325,6 +327,52 @@ TEST(EngineTest, StatsAreRecorded) {
                 Local.counter("cg.closure.incr.calls"),
             0);
   EXPECT_GT(Local.seconds("pcfg.analysis.seconds"), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded replays
+//===----------------------------------------------------------------------===//
+
+TEST(EngineTest, ReplayCutAtEveryStepMatchesColdRun) {
+  // A seed whose trace stops after K steps adopts those K and computes
+  // the rest live. These loop kernels widen, so some cuts fall between
+  // two widenings of one variant: the live widening must start from the
+  // iterate the replay restored, or the ascent diverges from the cold
+  // run's.
+  for (const std::string &Source :
+       {corpus::fanOutBroadcast(), corpus::exchangeWithRoot(),
+        corpus::gatherToRoot()}) {
+    auto Prog = std::make_shared<Program>(parseProgramOrDie(Source));
+    auto Graph = std::make_shared<const Cfg>(buildCfg(*Prog));
+    AnalysisOptions Opts = AnalysisOptions::cartesian();
+    Opts.SharedSymbols = std::make_shared<SymbolTable>();
+    auto Capture = std::make_shared<ReplayCapture>();
+    Opts.Capture = Capture;
+    AnalysisResult Cold = analyzeProgram(*Graph, Opts);
+    ASSERT_TRUE(Cold.Converged) << describe(Cold, *Graph);
+    ASSERT_TRUE(Capture->Trace);
+    Opts.Capture = nullptr;
+    const std::vector<TraceStep> &Steps = Capture->Trace->Steps;
+    for (std::size_t Cut = 1; Cut < Steps.size(); ++Cut) {
+      SCOPED_TRACE(testing::Message() << "cut after " << Cut << " of "
+                                      << Steps.size() << " steps");
+      auto Prefix = std::make_shared<AnalysisTrace>();
+      Prefix->Steps.assign(Steps.begin(), Steps.begin() + Cut);
+      auto Seed = std::make_shared<EngineSeed>();
+      Seed->Trace = Prefix;
+      Seed->PriorGraph = Graph;
+      Seed->Symbols = Opts.SharedSymbols;
+      Seed->PriorKeepAlive = Prog;
+      Seed->OptionsFingerprint = Opts.fingerprint();
+      Opts.Seed = Seed;
+      auto Stats = std::make_shared<ReplayStats>();
+      Opts.Replay = Stats;
+      AnalysisResult Seeded = analyzeProgram(*Graph, Opts);
+      EXPECT_EQ(Stats->AdoptedSteps, Cut);
+      EXPECT_EQ(Seeded.StatesExplored, Cold.StatesExplored);
+      EXPECT_EQ(describe(Seeded, *Graph), describe(Cold, *Graph));
+    }
+  }
 }
 
 } // namespace

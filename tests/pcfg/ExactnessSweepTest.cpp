@@ -89,6 +89,34 @@ paramsFor(const std::string &Name, int Np) {
   return P; // No parameters needed.
 }
 
+/// The interpreter's match set and the cartesian analysis at pinned \p Np.
+struct PinnedRun {
+  std::set<std::pair<CfgNodeId, CfgNodeId>> Dynamic;
+  AnalysisResult R;
+};
+
+PinnedRun runPinned(const corpus::NamedProgram &Prog, int Np,
+                    const std::map<std::string, std::int64_t> &Params) {
+  Program P = parseProgramOrDie(Prog.Source);
+  Cfg Graph = buildCfg(P);
+
+  RunOptions RunOpts;
+  RunOpts.NumProcs = Np;
+  RunOpts.Params = Params;
+  RunResult Run = runProgram(Graph, RunOpts);
+  EXPECT_TRUE(Run.finished()) << Prog.Name << " np=" << Np << ": "
+                              << Run.Error;
+  PinnedRun Out;
+  for (const TraceEvent &E : Run.Trace)
+    Out.Dynamic.insert({E.SendNode, E.RecvNode});
+
+  AnalysisOptions Opts = AnalysisOptions::cartesian();
+  Opts.FixedNp = Np;
+  Opts.Params = Params;
+  Out.R = analyzeProgram(Graph, Opts);
+  return Out;
+}
+
 class ExactnessSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ExactnessSweep, ConvergedMeansExact) {
@@ -96,37 +124,37 @@ TEST_P(ExactnessSweep, ConvergedMeansExact) {
   auto Params = paramsFor(Prog.Name, Np);
   if (!Params)
     GTEST_SKIP() << "no valid grid for np=" << Np;
-
-  Program P = parseProgramOrDie(Prog.Source);
-  Cfg Graph = buildCfg(P);
-
-  RunOptions RunOpts;
-  RunOpts.NumProcs = Np;
-  RunOpts.Params = *Params;
-  RunResult Run = runProgram(Graph, RunOpts);
-  ASSERT_TRUE(Run.finished()) << Prog.Name << " np=" << Np << ": "
-                              << Run.Error;
-  std::set<std::pair<CfgNodeId, CfgNodeId>> Dynamic;
-  for (const TraceEvent &E : Run.Trace)
-    Dynamic.insert({E.SendNode, E.RecvNode});
-
-  AnalysisOptions Opts = AnalysisOptions::cartesian();
-  Opts.FixedNp = Np;
-  Opts.Params = *Params;
-  AnalysisResult R = analyzeProgram(Graph, Opts);
+  PinnedRun Run = runPinned(Prog, Np, *Params);
 
   // Soundness: every recorded match is real (matches are proven even on
   // Top runs).
-  for (const auto &Pair : R.matchedNodePairs())
-    EXPECT_TRUE(Dynamic.count(Pair))
+  for (const auto &Pair : Run.R.matchedNodePairs())
+    EXPECT_TRUE(Run.Dynamic.count(Pair))
         << Prog.Name << " np=" << Np << ": spurious match " << Pair.first
         << "->" << Pair.second;
 
   // Exactness: convergence implies the full topology was found.
-  if (R.Converged) {
-    EXPECT_EQ(R.matchedNodePairs(), Dynamic) << Prog.Name << " np=" << Np;
+  if (Run.R.Converged) {
+    EXPECT_EQ(Run.R.matchedNodePairs(), Run.Dynamic)
+        << Prog.Name << " np=" << Np;
   }
 }
+
+class GatherToRootPinned : public ::testing::TestWithParam<int> {};
+
+TEST_P(GatherToRootPinned, ConvergesWithTheInterpretersMatches) {
+  // Figure 1's gather loop at a pinned np: widening must not lose the
+  // loop bound tied to np, so the analysis converges and finds exactly
+  // the interpreter's topology.
+  const int Np = GetParam();
+  PinnedRun Run = runPinned({"gather-to-root", corpus::gatherToRoot()}, Np,
+                            {});
+  EXPECT_TRUE(Run.R.Converged) << Run.R.TopReason;
+  EXPECT_EQ(Run.R.matchedNodePairs(), Run.Dynamic);
+}
+
+INSTANTIATE_TEST_SUITE_P(Np, GatherToRootPinned,
+                         ::testing::Values(4, 8, 16, 32));
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, ExactnessSweep, ::testing::ValuesIn(sweepCases()),

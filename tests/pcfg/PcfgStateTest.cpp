@@ -400,7 +400,8 @@ TEST(PcfgStateTest, WidenDropsUnstableValueBounds) {
   PcfgState B = newState();
   B.Sets.push_back(makeSet("p0", ProcRange(LinearExpr(0), LinearExpr(0)), 2));
   B.Cg.assign("p0.i", LinearExpr(3));
-  ASSERT_TRUE(widenStates(A, B));
+  ConstraintGraph Iterate = A.Cg;
+  ASSERT_TRUE(widenStates(A, B, Iterate));
   EXPECT_TRUE(A.Cg.provesLE(LinearExpr(2), form("p0.i", 0)));
   EXPECT_FALSE(A.Cg.constValue("p0.i").has_value());
 }
